@@ -5,7 +5,7 @@
      dune exec bench/main.exe -- fig15a fig16c  -- run a subset
 
    Experiments: fig15a fig15b fig15c fig16a fig16b fig16c
-                abl-sea abl-fuse abl-idx abl-plan abl-compile abl-simjoin
+                abl-sea abl-fuse seo-build abl-idx abl-plan abl-compile abl-simjoin
                 serve-cache serve-parallel micro
 
    Absolute times differ from the paper (their substrate was Xindice on a
@@ -44,6 +44,7 @@ module Shard_map = Toss_shard.Shard_map
 module Router = Toss_shard.Router
 module Loadgen = Toss_shard.Loadgen
 module B = Toss_eval.Bench_util
+module Seo_reference = Toss_check.Seo_reference
 
 let metric = Workload.experiment_metric
 
@@ -78,6 +79,18 @@ let collection_of_trees name trees =
   let c = Collection.create name in
   List.iter (fun t -> ignore (Collection.add_document c t)) trees;
   Collection.snapshot c
+
+let dblp_tree ~seed ~n_papers =
+  (Dblp_gen.render ~seed (Corpus.generate ~seed ~n_papers ())).Dblp_gen.tree
+
+(* Each paper of a rendered corpus as a document of its own, the way a
+   server holds one insert per paper. *)
+let paper_docs = function
+  | Tree.Element { children; _ } ->
+      List.filter_map
+        (function Tree.Element _ as p -> Some (Doc.of_tree p) | Tree.Text _ -> None)
+        children
+  | Tree.Text _ -> []
 
 let seo_of_docs ?lexicon ?content_tags ?max_content_terms ~eps docs =
   match
@@ -499,6 +512,50 @@ let abl_fuse () =
        (fun (k, terms, nodes, t) ->
          [ string_of_int k; string_of_int terms; string_of_int nodes; B.fs t ])
        rows)
+
+(* The SEO build on the serving benchmark's corpora, production path vs
+   the all-pairs reference of Toss_check: the staged ε-predicate and the
+   linear synonym constraints against their definitions. *)
+let seo_build () =
+  B.print_header "SEO build: staged epsilon-graph and linear synonym constraints vs all pairs";
+  let corpora =
+    [
+      ("read-hot", paper_docs (dblp_tree ~seed:91 ~n_papers:100));
+      ("read-wide", [ Doc.of_tree (dblp_tree ~seed:92 ~n_papers:400) ]);
+      ( "write-mix",
+        Doc.of_tree (dblp_tree ~seed:93 ~n_papers:100)
+        :: paper_docs (dblp_tree ~seed:(93 + 0x5eed) ~n_papers:3) );
+    ]
+  in
+  let n_constraints cs = List.fold_left (fun n (_, l) -> n + List.length l) 0 cs in
+  let rows =
+    List.map
+      (fun (name, docs) ->
+        let ontologies = Maker.make_all docs in
+        let seo, t = B.time (fun () -> seo_of_docs ~eps:2.0 docs) in
+        let reference, t_ref =
+          B.time (fun () -> Seo_reference.build ~metric ~eps:2.0 docs)
+        in
+        let isa = Ontology.get Ontology.isa (Seo.ontology seo) in
+        assert (Hierarchy.equal (Seo.isa_hierarchy seo) reference.Seo_reference.enhanced);
+        [
+          name;
+          string_of_int (List.length docs);
+          string_of_int (List.length (Hierarchy.terms isa));
+          string_of_int (n_constraints (Maker.auto_constraints ontologies));
+          string_of_int (n_constraints (Seo_reference.auto_constraints ontologies));
+          string_of_int (List.length reference.Seo_reference.edges);
+          B.fs t;
+          B.fs t_ref;
+          Printf.sprintf "%.1fx" (t_ref /. t);
+        ])
+      corpora
+  in
+  emit "seo-build"
+    ~columns:
+      [ "corpus"; "documents"; "isa strings"; "constraints"; "reference constraints";
+        "eps-edges"; "build (s)"; "reference (s)"; "speedup" ]
+    rows
 
 let abl_plan () =
   B.print_header
@@ -1264,6 +1321,24 @@ let perf_suite ~slowdown () =
      strongest available check. Running it once here also warms the memo
      tables for both kernels. *)
   assert (simk_sim () = simk_naive ());
+  (* SEO-build kernels over the serving benchmark's two corpus shapes:
+     100 papers as one document each (fusion of many sources, with their
+     synonym constraints) and 200 papers as one document (a wide ε-graph).
+     The production build and the all-pairs reference of Toss_check must
+     agree on every hierarchy before either is timed; the check also
+     warms both paths. *)
+  let seo_shapes =
+    [
+      paper_docs (dblp_tree ~seed:91 ~n_papers:100);
+      [ Doc.of_tree (dblp_tree ~seed:92 ~n_papers:200) ];
+    ]
+  in
+  List.iter
+    (fun docs ->
+      match Seo_reference.differential ~metric ~eps:2.0 docs with
+      | Ok () -> ()
+      | Error es -> failwith ("seo-build differs from the reference: " ^ String.concat "; " es))
+    seo_shapes;
   (* 11 runs: the sub-millisecond kernels need the extra samples for the
      median to be stable across invocations. *)
   let runs = 11 in
@@ -1311,6 +1386,13 @@ let perf_suite ~slowdown () =
           ignore (Collection.Snapshot.eval_string coll "//inproceedings[booktitle='VLDB']/author"));
       ("sea-enhance", runs, fun () ->
           ignore (Sea.enhance ~metric:Levenshtein.metric ~eps:2.0 sea_h));
+      ("seo-build", runs, fun () ->
+          List.iter (fun docs -> ignore (seo_of_docs ~eps:2.0 docs)) seo_shapes);
+      (* A multi-second build: one measured run, warmed by the check above. *)
+      ("seo-build-reference", 1, fun () ->
+          List.iter
+            (fun docs -> ignore (Seo_reference.build ~metric ~eps:2.0 docs))
+            seo_shapes);
       (* Server kernels: the same query through the engine, uncached vs a
          cache hit. The per-kernel warm-up call below pays the SEO
          precompute (uncached) and populates the cache (cached), so the
@@ -1421,6 +1503,7 @@ let experiments =
     ("fig16c", fig16c);
     ("abl-sea", abl_sea);
     ("abl-fuse", abl_fuse);
+    ("seo-build", seo_build);
     ("abl-idx", abl_idx);
     ("abl-plan", abl_plan);
     ("abl-compile", abl_compile);

@@ -36,6 +36,15 @@ val case : ?op:op -> int -> case
     lowering carries the case and the ε threshold decides which pairs
     match. *)
 
+val constant_pool : string list
+(** The tags, words and numerals generated documents and queries draw
+    from. *)
+
+val near_miss_pool : string list
+(** Spellings within small edit distance of each other, some unknown to
+    every generated ontology: the strings that put pairs on both sides
+    of the generated ε values. *)
+
 val seo_of : case -> Toss_core.Seo.t
 (** The similarity-enhanced ontology the case's edges and ε describe
     (Levenshtein metric). *)

@@ -22,7 +22,8 @@ let create ?(conversions = Conversion.standard) ?(metric = Levenshtein.metric)
     let enhancement =
       if eps = 0. then None
       else
-        match Sea.enhance ~metric ~eps isa with
+        let edges = Sea.epsilon_edges ~metric ~eps isa in
+        match Sea.of_edges ~metric ~eps isa edges with
         | Some e -> Some e
         | None ->
             (* Figure 12's existential edge lift found a cycle: the triple
@@ -30,7 +31,7 @@ let create ?(conversions = Conversion.standard) ?(metric = Levenshtein.metric)
                to the universal lift (the one Theorem 1's proof uses),
                which keeps only the orderings every merged member agrees
                on and therefore always yields a DAG. *)
-            Sea.enhance ~lift:Sea.Universal ~metric ~eps isa
+            Sea.of_edges ~lift:Sea.Universal ~metric ~eps isa edges
     in
     Ok { fused = ontology; enhancement; metric; eps; conversions }
   end

@@ -34,20 +34,45 @@ let experiment_distance a b =
     Float.min name_d (Float.min text_d lev_d)
   end
 
-(* Threshold test, cheapest component first; agrees with
+(* The staged threshold test: each string's length, name shape, name
+   parts and tokens are computed once, and a pair tries the cheapest
+   component first. Each component gates on a necessary condition before
+   its DP: the length difference against the Levenshtein budget, the
+   surname lengths, the token counts. Agrees with
    [experiment_distance a b <= eps]. *)
-let experiment_within ~eps a b =
-  a = b
-  || (looks_like_name a && looks_like_name b && Name_rules.distance a b <= eps)
-  || (let lev_budget =
-        if min (String.length a) (String.length b) >= 6 then eps else eps /. 2.
-      in
-      lev_budget >= 0.
-      && Levenshtein.distance_within (int_of_float lev_budget) a b <> None)
-  || Text_rules.within ~eps a b
+type prepared = {
+  text : string;
+  length : int;
+  name : Name_rules.prepared option;  (** when the string looks like a name *)
+  tokens : Text_rules.prepared;
+}
+
+let prepare s =
+  {
+    text = s;
+    length = String.length s;
+    name = (if looks_like_name s then Some (Name_rules.prepare s) else None);
+    tokens = Text_rules.prepare s;
+  }
+
+let experiment_within ~eps =
+  (* Short strings (venue acronyms, years) get half the edit budget. *)
+  let long_budget = int_of_float eps and short_budget = int_of_float (eps /. 2.) in
+  fun a b ->
+    String.equal a.text b.text
+    || eps >= 0.
+       && Levenshtein.distance_within
+            (if min a.length b.length >= 6 then long_budget else short_budget)
+            a.text b.text
+          <> None
+    || (match (a.name, b.name) with
+       | Some x, Some y -> Name_rules.within_prepared ~eps x y
+       | _ -> false)
+    || Text_rules.within_prepared ~eps a.tokens b.tokens
 
 let experiment_metric =
-  Metric.v ~name:"toss-experiment" ~strong:false ~within:experiment_within
+  Metric.staged ~name:"toss-experiment" ~strong:false
+    ~stage:(fun ~eps -> Metric.Staged { prepare; test = experiment_within ~eps })
     experiment_distance
 
 type query = {

@@ -19,7 +19,9 @@ val experiment_metric : Metric.t
     the rule-based person-name distance, the abbreviation-aware text
     distance, and Levenshtein (doubled for strings shorter than 6
     characters so that short venue acronyms never merge with each
-    other). *)
+    other). Its staged form ({!Metric.stage}) prepares each string's
+    length, name parts and tokens once, and tests a pair cheapest
+    component first. *)
 
 type query = {
   query_id : int;

@@ -30,12 +30,13 @@ let pp_error ppf = function
 (* The vertex of source [i] whose node contains [term]; a fresh singleton
    vertex if the term is unknown to that hierarchy. *)
 let vertex_of hs i term =
-  match Hierarchy.nodes_of term (List.nth hs i) with
+  match Hierarchy.nodes_of term hs.(i) with
   | node :: _ -> { Q.source = i; node }
   | [] -> { Q.source = i; node = Node.singleton term }
 
 let fuse ?(auto_equate = true) hs constraints =
-  let n = List.length hs in
+  let sources = Array.of_list hs in
+  let n = Array.length sources in
   let constraints = Interop.expand constraints in
   let bad_source =
     List.find_opt
@@ -71,8 +72,8 @@ let fuse ?(auto_equate = true) hs constraints =
             match c with
             | Interop.Leq (a, b) ->
                 QG.add_edge
-                  (vertex_of hs a.Interop.source a.Interop.term)
-                  (vertex_of hs b.Interop.source b.Interop.term)
+                  (vertex_of sources a.Interop.source a.Interop.term)
+                  (vertex_of sources b.Interop.source b.Interop.term)
                   g
             | Interop.Eq _ -> assert false (* removed by expand *)
             | Interop.Neq _ -> g)
@@ -132,8 +133,8 @@ let fuse ?(auto_equate = true) hs constraints =
           (fun c ->
             match c with
             | Interop.Neq (a, b) ->
-                let na = Qmap.find_opt (vertex_of hs a.Interop.source a.Interop.term) witness in
-                let nb = Qmap.find_opt (vertex_of hs b.Interop.source b.Interop.term) witness in
+                let na = Qmap.find_opt (vertex_of sources a.Interop.source a.Interop.term) witness in
+                let nb = Qmap.find_opt (vertex_of sources b.Interop.source b.Interop.term) witness in
                 (match (na, nb) with
                 | Some na, Some nb -> Node.equal na nb
                 | _ -> false)

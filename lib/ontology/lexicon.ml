@@ -97,6 +97,7 @@ let add_part ~part ~whole t =
   { t with part_edges = edges }
 
 let mem t term = Smap.mem term t.synset_of
+let synset t term = Smap.find_opt term t.synset_of
 
 let synonyms t term =
   match Smap.find_opt term t.synset_of with

@@ -26,6 +26,11 @@ val add_isa : sub:string -> super:string -> t -> t
 val add_part : part:string -> whole:string -> t -> t
 
 val mem : t -> string -> bool
+val synset : t -> string -> int option
+(** The identifier of the term's synset, [None] when unknown. Every known
+    term has exactly one synset, and two terms are synonyms iff their
+    identifiers are equal. *)
+
 val synonyms : t -> string -> string list
 (** The term's synset members (itself included); just the term itself when
     unknown. *)

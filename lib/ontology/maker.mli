@@ -38,7 +38,16 @@ val make_all :
 val auto_constraints :
   ?lexicon:Lexicon.t -> Ontology.t list -> (Ontology.relation * Interop.t list) list
 (** Interoperation constraints between the ontologies of different
-    sources, derived from the lexicon: terms that are synonyms (same
-    synset) are equated across sources, e.g. [booktitle:0 = conference:1]
-    when the lexicon declares them synonymous. Identically-spelled terms
-    are left to the fusion's [auto_equate]. *)
+    sources, derived from the lexicon, per relation.
+
+    The contract is an equivalence closure, not a list of pairs: by
+    definition every two occurrences of synonyms (same synset) that are
+    spelled differently and lie in different sources are equated, e.g.
+    [booktitle:0 = conference:1] when the lexicon declares them
+    synonymous. The result is a spanning forest of that quadratic set of
+    equalities: every constraint is [Eq] of one such pair, and the
+    equalities induce the same equivalence classes on the (term, source)
+    occurrences, so fusion merges exactly the same terms. Its size is
+    below the number of (term, source) occurrences of lexicon terms, and
+    it is built in time linear in them. Identically-spelled terms are
+    left to the fusion's [auto_equate]. *)

@@ -88,12 +88,19 @@ let check_of_deadline deadline () =
   | Some d when Unix.gettimeofday () > d -> raise Deadline
   | _ -> ()
 
-(* The cached payload carries its compute-time cost; the cache status is
-   stamped per response so a hit is distinguishable from the miss that
-   populated it. *)
-let with_cache_status status = function
-  | J.Obj fields -> J.Obj (fields @ [ ("cache", J.Str status) ])
+(* The cached payload carries its compute-time cost; the cache status and
+   the time this request spent in [Session.pin] (which includes any SEO
+   rebuild) are stamped per response, so a hit is distinguishable from
+   the miss that populated it and a rebuild shows on the request that
+   paid for it. *)
+let with_request_status ~cache ~pin_ms = function
+  | J.Obj fields -> J.Obj (fields @ [ ("cache", J.Str cache); ("pin_ms", J.Num pin_ms) ])
   | v -> v
+
+let timed_pin pin =
+  let t0 = Unix.gettimeofday () in
+  let pinned = pin () in
+  (pinned, (Unix.gettimeofday () -. t0) *. 1000.)
 
 let do_insert t ~collection ~xml =
   match Parser.parse xml with
@@ -123,9 +130,9 @@ let do_insert t ~collection ~xml =
    hits — nothing ran — and on errors), so the server can attach the
    trace to sampled access-log records without re-running anything. *)
 let do_query t ~deadline ~collection ~tql ~mode ~cache =
-  match Session.pin t.session ~collection with
-  | Error msg -> (err Protocol.Unknown_collection "%s" msg, None)
-  | Ok pinned -> (
+  match timed_pin (fun () -> Session.pin t.session ~collection) with
+  | Error msg, _ -> (err Protocol.Unknown_collection "%s" msg, None)
+  | Ok pinned, pin_ms -> (
       let version = Session.pinned_version pinned in
       let key =
         {
@@ -138,7 +145,7 @@ let do_query t ~deadline ~collection ~tql ~mode ~cache =
       in
       let use_cache = cache && t.cache_capacity > 0 in
       match if use_cache then Cache.find t.cache key else None with
-      | Some payload -> (Ok (with_cache_status "hit" payload), None)
+      | Some payload -> (Ok (with_request_status ~cache:"hit" ~pin_ms payload), None)
       | None -> (
           let t0 = Unix.gettimeofday () in
           let check = check_of_deadline deadline in
@@ -165,7 +172,7 @@ let do_query t ~deadline ~collection ~tql ~mode ~cache =
                   ]
               in
               if use_cache then Cache.add t.cache key payload;
-              ( Ok (with_cache_status "miss" payload),
+              ( Ok (with_request_status ~cache:"miss" ~pin_ms payload),
                 Option.map
                   (fun (s : Executor.stats) -> s.Executor.trace)
                   answer.Session.stats )))
@@ -177,9 +184,9 @@ let do_query t ~deadline ~collection ~tql ~mode ~cache =
    probe loop, so a join is cancellable mid-probe — with no partial
    witnesses, since the whole request fails with [deadline_exceeded]. *)
 let do_join t ~deadline ~left ~right ~tql ~mode =
-  match Session.pin2 t.session ~left ~right with
-  | Error msg -> (err Protocol.Unknown_collection "%s" msg, None)
-  | Ok pinned -> (
+  match timed_pin (fun () -> Session.pin2 t.session ~left ~right) with
+  | Error msg, _ -> (err Protocol.Unknown_collection "%s" msg, None)
+  | Ok pinned, pin_ms -> (
       let lversion, rversion = Session.pinned2_versions pinned in
       let t0 = Unix.gettimeofday () in
       let check = check_of_deadline deadline in
@@ -204,6 +211,7 @@ let do_join t ~deadline ~left ~right ~tql ~mode =
                     (List.map
                        (fun tr -> J.Str (Printer.to_string ~decl:false tr))
                        answer.Session.trees) );
+                ("pin_ms", J.Num pin_ms);
               ]
           in
           ( Ok payload,

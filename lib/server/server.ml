@@ -179,7 +179,7 @@ let exec_guarded state ~deadline request =
 (* One access-log record. Written {e before} the response is sent, so a
    client that has seen its answer can rely on the record being on disk
    (the smoke test counts on it). [collection] comes from the request,
-   [version]/[cache] from the result payload when present, [trace] is
+   [version]/[cache]/[pin_ms] from the result payload when present, [trace] is
    the span tree of a sampled (or explicitly traced) request. *)
 let log_access state ~trace_id ~request ~queue_s ~exec_s ~body ~trace =
   match state.access with
@@ -215,6 +215,7 @@ let log_access state ~trace_id ~request ~queue_s ~exec_s ~body ~trace =
           @ opt "collection" collection
           @ opt "version" (payload_member "version")
           @ opt "cache" (payload_member "cache")
+          @ opt "pin_ms" (payload_member "pin_ms")
           @ [
               ("queue_s", J.Num queue_s);
               ("exec_s", J.Num exec_s);

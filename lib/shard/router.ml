@@ -136,6 +136,11 @@ let jnum v = Option.bind v J.to_num
 let jstr v = Option.bind v J.to_str
 let num_field payload name = Option.value (jnum (J.member name payload)) ~default:0.
 
+(* The shards of one answer run in parallel: the slowest shard's time is
+   the merged answer's. *)
+let slowest parts field =
+  List.fold_left (fun acc (_, _, p, _) -> Float.max acc (num_field p field)) 0. parts
+
 let trees_of_payload payload =
   match Option.bind (J.member "trees" payload) J.to_list with
   | None -> Ok []
@@ -275,11 +280,7 @@ let merge_query state ~collection ~failed answered =
               (fun acc (_, _, p, _) -> acc +. num_field p "version")
               0. parts
           in
-          let compute_ms =
-            List.fold_left
-              (fun acc (_, _, p, _) -> Float.max acc (num_field p "compute_ms"))
-              0. parts
-          in
+          let compute_ms = slowest parts "compute_ms" in
           let all_hit =
             List.for_all
               (fun (_, _, p, _) -> jstr (J.member "cache" p) = Some "hit")
@@ -300,6 +301,7 @@ let merge_query state ~collection ~failed answered =
                   ("trees", trees);
                   ("shards", J.Arr shards);
                   ("cache", J.Str (if all_hit then "hit" else "miss"));
+                  ("pin_ms", J.Num (slowest parts "pin_ms"));
                 ]
                @ partial_fields state failed)))
 
@@ -333,11 +335,7 @@ let merge_join state ~left ~right ~failed answered =
                 (fun acc (_, _, p, _) -> acc +. num_field p field)
                 0. parts
           in
-          let compute_ms =
-            List.fold_left
-              (fun acc (_, _, p, _) -> Float.max acc (num_field p "compute_ms"))
-              0. parts
-          in
+          let compute_ms = slowest parts "compute_ms" in
           let shards =
             List.map
               (fun (i, resp, p, _) -> shard_entry state i resp (num_field p "count"))
@@ -354,6 +352,7 @@ let merge_join state ~left ~right ~failed answered =
                   ("compute_ms", J.Num compute_ms);
                   ("trees", trees);
                   ("shards", J.Arr shards);
+                  ("pin_ms", J.Num (slowest parts "pin_ms"));
                 ]
                @ partial_fields state failed)))
 

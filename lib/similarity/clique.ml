@@ -30,19 +30,6 @@ let bron_kerbosch neighbours n =
   if n > 0 then expand Iset.empty all Iset.empty;
   !cliques
 
-let maximal_cliques ~n ~adjacent =
-  if n < 0 then invalid_arg "Clique.maximal_cliques: negative n";
-  let neighbours = Array.make (max n 1) Iset.empty in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if adjacent i j then begin
-        neighbours.(i) <- Iset.add j neighbours.(i);
-        neighbours.(j) <- Iset.add i neighbours.(j)
-      end
-    done
-  done;
-  bron_kerbosch neighbours n
-
 let maximal_cliques_of_edges ~n edges =
   let neighbours = Array.make (max n 1) Iset.empty in
   List.iter

@@ -4,11 +4,10 @@
     pairwise-similar clusters of hierarchy nodes, i.e. the maximal cliques
     of the ε-similarity graph (Definition 8, conditions 2–4). *)
 
-val maximal_cliques : n:int -> adjacent:(int -> int -> bool) -> int list list
-(** [maximal_cliques ~n ~adjacent] enumerates the maximal cliques of the
-    undirected graph on vertices [0 .. n-1]. [adjacent] must be symmetric
-    and irreflexive; it is queried O(n^2) times up front to build adjacency
-    sets. Isolated vertices are returned as singleton cliques. Each clique
-    is sorted ascending; the clique list order is unspecified. *)
-
 val maximal_cliques_of_edges : n:int -> (int * int) list -> int list list
+(** [maximal_cliques_of_edges ~n edges] enumerates the maximal cliques of
+    the undirected graph on vertices [0 .. n-1] with the given edges
+    (either orientation; self-loops are ignored). Isolated vertices are
+    returned as singleton cliques. Each clique is sorted ascending; the
+    clique list order is unspecified. SEA passes the ε-graph of
+    [Sea.epsilon_edges]. *)

@@ -28,36 +28,51 @@ let distance a b =
   end
 
 let distance_within k a b =
-  if k < 0 then None
+  let la = String.length a and lb = String.length b in
+  let a, b, la, lb = if la <= lb then (a, b, la, lb) else (b, a, lb, la) in
+  if k < 0 || lb - la > k then None
+  else if la = 0 then Some lb
   else begin
-    let la = String.length a and lb = String.length b in
-    let a, b, la, lb = if la <= lb then (a, b, la, lb) else (b, a, lb, la) in
-    if lb - la > k then None
-    else begin
-      (* Banded DP: cells farther than k from the diagonal can never lead
-         to a result <= k, so they are pinned to infinity. *)
-      let inf = max_int / 2 in
-      let prev = Array.make (la + 1) inf in
-      let curr = Array.make (la + 1) inf in
-      for i = 0 to min la k do
-        prev.(i) <- i
+    (* Ukkonen's band: a cell (i, j) with |i - j| > k costs more than k, so
+       row j only fills columns [j - k, j + k]. Cells outside the band
+       read as [inf]: the right edge of a row was never written (the band
+       only moves right), and the left sentinel is reset per row. Every
+       alignment crosses every row, so a row whose band minimum exceeds k
+       settles the answer. *)
+    let inf = k + 1 in
+    let prev = ref (Array.make (la + 1) inf) in
+    let curr = ref (Array.make (la + 1) inf) in
+    for i = 0 to min la k do
+      !prev.(i) <- i
+    done;
+    let j = ref 1 and over = ref false in
+    while (not !over) && !j <= lb do
+      let prev_row = !prev and curr_row = !curr in
+      let jj = !j in
+      let lo = if jj - k > 1 then jj - k else 1 in
+      let hi = if jj + k < la then jj + k else la in
+      curr_row.(lo - 1) <- (if jj <= k then jj else inf);
+      let row_min = ref curr_row.(lo - 1) in
+      let bj = b.[jj - 1] in
+      for i = lo to hi do
+        let subst = prev_row.(i - 1) + (if a.[i - 1] = bj then 0 else 1) in
+        let del = prev_row.(i) + 1 in
+        let ins = curr_row.(i - 1) + 1 in
+        let best = if del < subst then del else subst in
+        let best = if ins < best then ins else best in
+        let best = if best > inf then inf else best in
+        curr_row.(i) <- best;
+        if best < !row_min then row_min := best
       done;
-      for j = 1 to lb do
-        let lo = max 1 (j - k) and hi = min la (j + k) in
-        Array.fill curr 0 (la + 1) inf;
-        if j <= k then curr.(0) <- j;
-        let bj = b.[j - 1] in
-        for i = lo to hi do
-          let cost = if a.[i - 1] = bj then 0 else 1 in
-          let best = prev.(i - 1) + cost in
-          let best = if i >= 1 && curr.(i - 1) + 1 < best then curr.(i - 1) + 1 else best in
-          let best = if prev.(i) + 1 < best then prev.(i) + 1 else best in
-          curr.(i) <- best
-        done;
-        Array.blit curr 0 prev 0 (la + 1)
-      done;
-      if prev.(la) <= k then Some prev.(la) else None
-    end
+      if !row_min > k then over := true;
+      prev := curr_row;
+      curr := prev_row;
+      incr j
+    done;
+    if !over then None
+    else
+      let d = !prev.(la) in
+      if d <= k then Some d else None
   end
 
 let damerau_distance a b =

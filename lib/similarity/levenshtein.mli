@@ -10,8 +10,12 @@ val distance : string -> string -> int
 
 val distance_within : int -> string -> string -> int option
 (** [distance_within k a b] is [Some d] when [distance a b = d <= k] and
-    [None] otherwise; runs in O(k·min(|a|,|b|)) using the banded DP, which
-    the SEA algorithm uses to test pairs against a threshold cheaply. *)
+    [None] otherwise (always [None] for [k < 0]). A length difference
+    above [k] answers at once. Otherwise the DP fills only the band of
+    cells within [k] of the diagonal and stops at the first row whose band
+    minimum exceeds [k]: O(k·max(|a|,|b|)) time, O(min(|a|,|b|)) space.
+    Threshold tests (the SEA ε-graph, the token typo checks of the rule
+    measures) use this instead of {!distance}. *)
 
 val damerau_distance : string -> string -> int
 (** Adds adjacent-transposition as a unit-cost edit (optimal string

@@ -13,26 +13,22 @@ let token_cost a b =
   if a = b then 0.
   else if is_initial a && (not (is_initial b)) && a.[0] = b.[0] then initial_cost
   else if is_initial b && (not (is_initial a)) && b.[0] = a.[0] then initial_cost
+  else if min (String.length a) (String.length b) < 3 then mismatch_cost
   else
-    let lev = Levenshtein.distance a b in
-    if lev <= 2 && min (String.length a) (String.length b) >= 3 then
-      typo_unit *. float_of_int lev
-    else mismatch_cost
+    match Levenshtein.distance_within 2 a b with
+    | Some lev -> typo_unit *. float_of_int lev
+    | None -> mismatch_cost
 
-(* Cost of matching token [a] against the concatenation of [bs]. *)
-let concat_match a bs =
-  match bs with
-  | [] | [ _ ] -> None
-  | _ -> if String.concat "" bs = a then Some concat_cost else None
+(* Whether token [a] spells the concatenation of [b1] and [b2]. *)
+let concatenates a b1 b2 = String.equal a (b1 ^ b2)
 
 (* Sequence alignment over given-name tokens: exact/initial/typo matches,
    skips, and 1-against-2 concatenation merges. A token may only be
    skipped from the side with more remaining tokens (a dropped middle
    name); equal-length remainders must be matched pairwise, so two
    different given names cannot dodge comparison by skipping both. *)
-let align_given xs ys =
-  let nx = List.length xs and ny = List.length ys in
-  let xa = Array.of_list xs and ya = Array.of_list ys in
+let align_given xa ya =
+  let nx = Array.length xa and ny = Array.length ya in
   let memo = Array.make_matrix (nx + 1) (ny + 1) nan in
   let rec go i j =
     if Float.is_nan memo.(i).(j) then begin
@@ -51,19 +47,13 @@ let align_given xs ys =
             else best
           in
           let best =
-            if i + 1 < nx then begin
-              match concat_match ya.(j) [ xa.(i); xa.(i + 1) ] with
-              | Some c -> Float.min best (c +. go (i + 2) (j + 1))
-              | None -> best
-            end
+            if i + 1 < nx && concatenates ya.(j) xa.(i) xa.(i + 1) then
+              Float.min best (concat_cost +. go (i + 2) (j + 1))
             else best
           in
           let best =
-            if j + 1 < ny then begin
-              match concat_match xa.(i) [ ya.(j); ya.(j + 1) ] with
-              | Some c -> Float.min best (c +. go (i + 1) (j + 2))
-              | None -> best
-            end
+            if j + 1 < ny && concatenates xa.(i) ya.(j) ya.(j + 1) then
+              Float.min best (concat_cost +. go (i + 1) (j + 2))
             else best
           in
           best
@@ -75,31 +65,55 @@ let align_given xs ys =
   in
   go 0 0
 
+(* A surname matches exactly or with one typo; the length gate answers
+   most pairs before any DP runs. *)
 let surname_cost a b =
   if a = b then Some 0.
-  else
-    let lev = Levenshtein.distance a b in
-    if lev <= 1 && min (String.length a) (String.length b) >= 4 then
-      Some (typo_unit *. float_of_int lev)
-    else None
+  else if
+    min (String.length a) (String.length b) >= 4
+    && abs (String.length a - String.length b) <= 1
+  then
+    Option.map
+      (fun lev -> typo_unit *. float_of_int lev)
+      (Levenshtein.distance_within 1 a b)
+  else None
 
-let distance x y =
-  match (List.rev (tokens x), List.rev (tokens y)) with
-  | [], [] -> 0.
-  | [], _ | _, [] -> mismatch_cost
-  | sx :: gx_rev, sy :: gy_rev -> (
-      let gx = List.rev gx_rev and gy = List.rev gy_rev in
-      match surname_cost sx sy with
-      | Some c ->
-          let given = align_given gx gy in
-          Float.min (c +. given) mismatch_cost
+type prepared =
+  | Empty
+  | Name of { surname : string; given : string array; flat : string }
+
+let prepare s =
+  match List.rev (tokens s) with
+  | [] -> Empty
+  | surname :: given_rev ->
+      let given = List.rev given_rev in
+      Name
+        {
+          surname;
+          given = Array.of_list given;
+          flat = String.concat "" (given @ [ surname ]);
+        }
+
+let distance_prepared x y =
+  match (x, y) with
+  | Empty, Empty -> 0.
+  | Empty, Name _ | Name _, Empty -> mismatch_cost
+  | Name x, Name y -> (
+      match surname_cost x.surname y.surname with
+      | Some c -> Float.min (c +. align_given x.given y.given) mismatch_cost
       | None ->
           (* Different tokenizations of the same full name, e.g. a surname
              glued to a given name: fall back to comparing the whole names
              with spacing removed. *)
-          let flat_x = String.concat "" (gx @ [ sx ]) in
-          let flat_y = String.concat "" (gy @ [ sy ]) in
-          if flat_x = flat_y then concat_cost else mismatch_cost)
+          if x.flat = y.flat then concat_cost else mismatch_cost)
 
-let metric = Metric.v ~name:"name-rules" ~strong:false distance
+(* Every distance is capped at [mismatch_cost]. *)
+let within_prepared ~eps x y = eps >= mismatch_cost || distance_prepared x y <= eps
+let distance x y = distance_prepared (prepare x) (prepare y)
+
+let metric =
+  Metric.staged ~name:"name-rules" ~strong:false
+    ~stage:(fun ~eps -> Metric.Staged { prepare; test = within_prepared ~eps })
+    distance
+
 let compatible ~threshold a b = distance a b <= threshold

@@ -19,7 +19,21 @@
     ε = 2 / ε = 3 recall difference. *)
 
 val distance : string -> string -> float
+
+type prepared
+(** A name's surname (its last token), given-name tokens and spacing-free
+    spelling, computed once. *)
+
+val prepare : string -> prepared
+
+val within_prepared : eps:float -> prepared -> prepared -> bool
+(** [distance x y <= eps] on prepared names. Every distance is at most the
+    mismatch cost, so [eps >= 6.5] accepts at once; surnames more than one
+    character apart in length never match, so those pairs skip the
+    given-name alignment. *)
+
 val metric : Metric.t
+(** Staged: {!prepare} then {!within_prepared}. *)
 
 val compatible : threshold:float -> string -> string -> bool
 (** [distance a b <= threshold]. *)

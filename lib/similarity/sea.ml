@@ -18,12 +18,46 @@ let cluster_of original_nodes clique =
     (fun acc i -> Node.union acc original_nodes.(i))
     original_nodes.(List.hd clique) (List.tl clique)
 
-let build ?(lift = Existential) ~metric ~eps h =
-  if eps < 0. then invalid_arg "Sea.enhance: negative threshold";
+let check_threshold eps = if eps < 0. then invalid_arg "Sea.enhance: negative threshold"
+
+(* Each string is prepared once; node pairs are then tested string pair by
+   string pair, in the argument order [Node_dist.within] uses, stopping at
+   the first pair within [eps]. The strings of node [i] occupy
+   [start.(i) .. start.(i + 1) - 1] of [prepared]. *)
+let epsilon_edges ~metric ~eps h =
+  check_threshold eps;
+  let (Metric.Staged s) = Metric.stage metric ~eps in
+  let nodes = Array.of_list (Hierarchy.nodes h) in
+  let n = Array.length nodes in
+  let strings = Array.map Node.strings nodes in
+  let start = Array.make (n + 1) 0 in
+  Array.iteri (fun i ss -> start.(i + 1) <- start.(i) + List.length ss) strings;
+  let prepared = Array.of_list (List.concat_map (List.map s.prepare) (Array.to_list strings)) in
+  let adjacent i j =
+    let found = ref false and x = ref start.(i) in
+    while (not !found) && !x < start.(i + 1) do
+      let px = prepared.(!x) and y = ref start.(j) in
+      while (not !found) && !y < start.(j + 1) do
+        if s.test px prepared.(!y) then found := true;
+        incr y
+      done;
+      incr x
+    done;
+    !found
+  in
+  let edges = ref [] in
+  for i = n - 1 downto 0 do
+    for j = n - 1 downto i + 1 do
+      if adjacent i j then edges := (i, j) :: !edges
+    done
+  done;
+  !edges
+
+let build ~lift ~eps h edges =
+  check_threshold eps;
   let original = Array.of_list (Hierarchy.nodes h) in
   let n = Array.length original in
-  let adjacent i j = Node_dist.within metric ~eps original.(i) original.(j) in
-  let cliques = Clique.maximal_cliques ~n ~adjacent in
+  let cliques = Clique.maximal_cliques_of_edges ~n edges in
   let clusters = List.map (fun c -> (c, cluster_of original c)) cliques in
   (* μ: original node index -> enhanced nodes containing it. *)
   let mu_tbl = Array.make (max n 1) [] in
@@ -78,14 +112,17 @@ let build ?(lift = Existential) ~metric ~eps h =
               g member_sets)
           base member_sets
   in
-  (cliques, mu, graph)
+  (mu, graph)
 
-let enhance ?lift ~metric ~eps h =
-  let _, mu, graph = build ?lift ~metric ~eps h in
+let of_edges ?(lift = Existential) ~metric ~eps h edges =
+  let mu, graph = build ~lift ~eps h edges in
   if not (G.is_acyclic graph) then None
   else
     let hierarchy = Hierarchy.normalize (Hierarchy.of_graph graph) in
     Some { hierarchy; mu; eps; metric }
+
+let enhance ?lift ~metric ~eps h =
+  of_edges ?lift ~metric ~eps h (epsilon_edges ~metric ~eps h)
 
 let enhance_exn ?lift ~metric ~eps h =
   match enhance ?lift ~metric ~eps h with

@@ -31,9 +31,23 @@ type t = {
   metric : Metric.t;
 }
 
+val epsilon_edges : metric:Metric.t -> eps:float -> Hierarchy.t -> (int * int) list
+(** The ε-similarity graph of [H]: the pairs [(i, j)], [i < j], of
+    positions in [Hierarchy.nodes h] whose nodes are within [eps]
+    ({!Node_dist.within}), in ascending order. Each string is prepared
+    once through {!Metric.stage}, so the quadratic pair loop runs only
+    the measure's pair test. *)
+
+val of_edges :
+  ?lift:lift -> metric:Metric.t -> eps:float -> Hierarchy.t -> (int * int) list -> t option
+(** The enhancement whose clusters are the maximal cliques of the given
+    ε-graph (as returned by {!epsilon_edges}). [None] when the lifted
+    ordering is cyclic. A caller trying both lifts computes the graph
+    once. *)
+
 val enhance : ?lift:lift -> metric:Metric.t -> eps:float -> Hierarchy.t -> t option
-(** [None] when [(H, d, ε)] is similarity inconsistent. [eps] must be
-    non-negative. *)
+(** [of_edges] over [epsilon_edges]. [None] when [(H, d, ε)] is
+    similarity inconsistent. [eps] must be non-negative. *)
 
 val enhance_exn : ?lift:lift -> metric:Metric.t -> eps:float -> Hierarchy.t -> t
 (** @raise Failure on similarity inconsistency. *)

@@ -22,18 +22,20 @@ let token_cost a b =
   if a = b then 0.
   else if is_abbreviation ~short:a ~long:b || is_abbreviation ~short:b ~long:a then
     abbrev_cost
+  else if min (String.length a) (String.length b) < 3 then mismatch_cost
   else
-    let lev = Levenshtein.distance a b in
-    if lev <= 2 && min (String.length a) (String.length b) >= 3 then
-      typo_unit *. float_of_int lev
-    else mismatch_cost
+    match Levenshtein.distance_within 2 a b with
+    | Some lev -> typo_unit *. float_of_int lev
+    | None -> mismatch_cost
+
+type prepared = string array
+
+let prepare x = Array.of_list (Token.tokenize x)
 
 (* Token alignment DP; [cutoff] aborts with infinity as soon as a full DP
    row exceeds it (distances only grow along rows), which makes threshold
    tests on clearly-different phrases cheap. *)
-let alignment ?cutoff x y =
-  let xs = Array.of_list (Token.tokenize x) in
-  let ys = Array.of_list (Token.tokenize y) in
+let alignment ?cutoff xs ys =
   let nx = Array.length xs and ny = Array.length ys in
   if nx = 0 && ny = 0 then 0.
   else begin
@@ -69,8 +71,27 @@ let alignment ?cutoff x y =
         (match !result with Some r -> r | None -> d.(nx).(ny))
   end
 
-let distance x y = alignment x y
+(* Below [skip_cost] an alignment within [eps] can neither drop nor insert
+   a token, so only the diagonal remains: equal token counts, and the
+   running sum of the aligned token costs — the same additions the DP's
+   diagonal makes, stopped once they pass [eps]. *)
+let within_prepared ~eps xs ys =
+  if eps >= 0. && eps < skip_cost then begin
+    let n = Array.length xs in
+    n = Array.length ys
+    &&
+    let rec diagonal i acc =
+      if acc > eps then false
+      else if i = n then true
+      else diagonal (i + 1) (acc +. token_cost xs.(i) ys.(i))
+    in
+    diagonal 0 0.
+  end
+  else alignment ~cutoff:eps xs ys <= eps
 
-let within ~eps x y = alignment ~cutoff:eps x y <= eps
+let distance x y = alignment (prepare x) (prepare y)
 
-let metric = Metric.v ~name:"text-rules" ~strong:false ~within distance
+let metric =
+  Metric.staged ~name:"text-rules" ~strong:false
+    ~stage:(fun ~eps -> Metric.Staged { prepare; test = within_prepared ~eps })
+    distance

@@ -12,8 +12,16 @@
 
 val distance : string -> string -> float
 
-val within : eps:float -> string -> string -> bool
-(** [distance x y <= eps], aborting the alignment as soon as every
-    continuation exceeds the threshold. *)
+type prepared
+(** A phrase's tokens, computed once. *)
+
+val prepare : string -> prepared
+
+val within_prepared : eps:float -> prepared -> prepared -> bool
+(** [distance x y <= eps] on prepared phrases. Below the dropped-token
+    cost (3.5) only equal token counts can pass, and only the aligned
+    diagonal is summed, stopping once it exceeds [eps]; otherwise the
+    alignment aborts at the first DP row above [eps]. *)
 
 val metric : Metric.t
+(** Staged: {!prepare} then {!within_prepared}. *)

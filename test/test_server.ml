@@ -243,6 +243,35 @@ let test_engine_cache_and_invalidation () =
   checkb "new version visible" true (member_int "version" r4 = Some 2);
   checkb "both similar authors match" true (member_int "count" r4 = Some 2)
 
+(* The first query after an insert pays the SEO rebuild inside
+   [Session.pin]; [pin_ms] must show it, on misses and hits alike. *)
+let test_engine_pin_ms () =
+  let engine = Result.get_ok (Engine.create ()) in
+  for i = 1 to 40 do
+    ignore (exec_ok engine (Protocol.Insert { collection = "bib"; xml = paper i }))
+  done;
+  let pin_ms r =
+    match Option.bind (J.member "pin_ms" r) J.to_num with
+    | Some ms -> ms
+    | None -> Alcotest.fail "query response without pin_ms"
+  in
+  let first = exec_ok engine (query_request tql) in
+  let second = exec_ok engine (query_request tql) in
+  checkb "first query misses" true (member_str "cache" first = Some "miss");
+  checkb "second query hits" true (member_str "cache" second = Some "hit");
+  checkb
+    (Printf.sprintf "rebuild shows in pin_ms (%.3f ms, then %.3f ms)" (pin_ms first)
+       (pin_ms second))
+    true
+    (pin_ms first > pin_ms second);
+  (* pin_ms is stamped per response, not cached with the payload. *)
+  ignore (exec_ok engine (Protocol.Insert { collection = "other"; xml = paper 0 }));
+  let after_other = exec_ok engine (query_request tql) in
+  checkb "hit after another collection's insert" true
+    (member_str "cache" after_other = Some "hit");
+  checkb "that hit's pin_ms shows the rebuild" true
+    (pin_ms after_other > pin_ms second)
+
 let test_engine_deadline () =
   let engine = Result.get_ok (Engine.create ()) in
   ignore (exec_ok engine (Protocol.Insert { collection = "bib"; xml = paper 1 }));
@@ -1366,6 +1395,7 @@ let () =
         [
           Alcotest.test_case "cache and invalidation" `Quick
             test_engine_cache_and_invalidation;
+          Alcotest.test_case "pin_ms shows the SEO rebuild" `Quick test_engine_pin_ms;
           Alcotest.test_case "deadline" `Quick test_engine_deadline;
           Alcotest.test_case "explain and stats" `Quick test_engine_explain_and_stats;
           Alcotest.test_case "hydration" `Quick test_engine_hydration;

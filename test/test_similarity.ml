@@ -256,17 +256,17 @@ let test_cliques_triangle_plus_pendant () =
     (sorted_cliques cliques)
 
 let test_cliques_no_edges () =
-  let cliques = Clique.maximal_cliques ~n:3 ~adjacent:(fun _ _ -> false) in
+  let cliques = Clique.maximal_cliques_of_edges ~n:3 [] in
   Alcotest.(check (list (list int))) "all singletons" [ [ 0 ]; [ 1 ]; [ 2 ] ]
     (sorted_cliques cliques)
 
 let test_cliques_complete () =
-  let cliques = Clique.maximal_cliques ~n:4 ~adjacent:(fun _ _ -> true) in
+  let cliques = Clique.maximal_cliques_of_edges ~n:4 [ (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3) ] in
   Alcotest.(check (list (list int))) "one clique" [ [ 0; 1; 2; 3 ] ]
     (sorted_cliques cliques)
 
 let test_cliques_empty_graph () =
-  checki "n=0" 0 (List.length (Clique.maximal_cliques ~n:0 ~adjacent:(fun _ _ -> false)))
+  checki "n=0" 0 (List.length (Clique.maximal_cliques_of_edges ~n:0 []))
 
 let prop_cliques_are_cliques_and_maximal =
   let gen =
