@@ -5,7 +5,7 @@
      dune exec bench/main.exe -- fig15a fig16c  -- run a subset
 
    Experiments: fig15a fig15b fig15c fig16a fig16b fig16c
-                abl-sea abl-fuse seo-build abl-idx abl-plan abl-compile abl-simjoin
+                abl-sea abl-fuse seo-build abl-plan abl-simjoin
                 serve-cache serve-parallel micro
 
    Absolute times differ from the paper (their substrate was Xindice on a
@@ -34,6 +34,7 @@ module Sigmod_gen = Toss_data.Sigmod_gen
 module Workload = Toss_data.Workload
 module Quality = Toss_eval.Quality
 module Rewrite = Toss_core.Rewrite
+module Toss_algebra = Toss_core.Toss_algebra
 module Simjoin = Toss_core.Simjoin
 module Engine = Toss_server.Engine
 module Protocol = Toss_server.Protocol
@@ -655,71 +656,6 @@ let abl_simjoin () =
      only the candidates, so its cost tracks the answer, not the pair\n\
      space -- the gap widens quadratically with the corpus\n"
 
-let abl_compile () =
-  B.print_header
-    "Ablation: compiled single-pass matcher vs interpreted scan/prune/embed";
-  let pattern, sl = Workload.scalability_selection () in
-  let rows =
-    List.map
-      (fun n_papers ->
-        let corpus = Corpus.generate ~seed:81 ~n_papers () in
-        let rendered = Dblp_gen.render ~seed:81 corpus in
-        let coll = collection_of_tree "dblp" rendered.Dblp_gen.tree in
-        let seo =
-          seo_of_docs ~content_tags:[ "booktitle" ] ~eps:2.0
-            [ Doc.of_tree rendered.Dblp_gen.tree ]
-        in
-        let time_of compile =
-          let (results, _), t =
-            B.time_median ~runs:5 (fun () ->
-                Executor.select ~mode:Executor.Toss ~compile seo coll ~pattern ~sl)
-          in
-          (List.length results, t)
-        in
-        let n_i, interp = time_of false in
-        let n_c, compiled = time_of true in
-        assert (n_i = n_c);
-        (n_papers, n_c, interp, compiled))
-      [ 500; 1000; 2000 ]
-  in
-  emit "abl-compile"
-    ~columns:[ "papers"; "results"; "interpreted (s)"; "compiled (s)"; "speedup" ]
-    (List.map
-       (fun (n, res, interp, compiled) ->
-         [
-           string_of_int n; string_of_int res; B.fs interp; B.fs compiled;
-           B.f2 (interp /. compiled);
-         ])
-       rows);
-  Printf.printf
-    "\nsame answers by construction (the differential harness holds both\n\
-     paths to the oracle); the compiled matcher skips the store scans and\n\
-     per-document pruning and decides every pattern node in one arena pass\n"
-
-let abl_idx () =
-  B.print_header "Ablation: store value indexes on vs off (Figure 16(a) query)";
-  let pattern, sl = Workload.scalability_selection () in
-  let rows =
-    List.map
-      (fun n_papers ->
-        let corpus = Corpus.generate ~seed:61 ~n_papers () in
-        let rendered = Dblp_gen.render ~seed:61 corpus in
-        let coll = collection_of_tree "dblp" rendered.Dblp_gen.tree in
-        let seo =
-          seo_of_docs ~content_tags:[ "booktitle" ] ~eps:2.0
-            [ Doc.of_tree rendered.Dblp_gen.tree ]
-        in
-        let time_of use_index =
-          let _, stats = Executor.select ~use_index seo coll ~pattern ~sl in
-          Executor.total_s stats.Executor.phases
-        in
-        (n_papers, time_of true, time_of false))
-      [ 500; 1000; 2000 ]
-  in
-  emit "abl-idx"
-    ~columns:[ "papers"; "indexed (s)"; "unindexed (s)" ]
-    (List.map (fun (n, ti, tu) -> [ string_of_int n; B.fs ti; B.fs tu ]) rows)
-
 (* ------------------------------------------------------------------ *)
 (* Serving: the versioned result cache, cold vs warm vs disabled        *)
 (* ------------------------------------------------------------------ *)
@@ -967,10 +903,7 @@ let spawn_router shards =
       Router.run ~ready (Router.default_config ~listen ~map))
 
 (* Open-loop latency of a single server vs a router over two shards, at
-   the same offered load -- the scale-out acceptance experiment. The
-   single server additionally gets a closed-loop [Client.bench] pass
-   with the same request count, whose rosy tail illustrates exactly the
-   coordinated omission [toss loadgen] exists to avoid (the open-loop
+   the same offered load -- the scale-out acceptance experiment (the
    percentiles are measured from each request's scheduled arrival). *)
 let serve_sharded () =
   B.print_header
@@ -998,25 +931,6 @@ let serve_sharded () =
   (* Single server, open loop. *)
   let single_addr, stop_single = spawn_server () in
   let single = loadgen single_addr in
-  (* Same server, closed loop, the same template mix the open-loop run
-     drew from (the corpus it ingested is still resident): each worker
-     waits for its previous response, so queueing delay never accrues
-     to any request's latency. *)
-  let closed =
-    let mix = Loadgen.query_mix ~seed:42 ~n_papers:40 in
-    match
-      Client.bench ~socket:single_addr ~requests ~concurrency:8 (fun i ->
-          Protocol.Query
-            {
-              collection = "bib";
-              tql = mix.(i mod Array.length mix);
-              mode = Executor.Toss;
-              cache = true;
-            })
-    with
-    | Ok r -> r
-    | Error msg -> failwith ("serve-sharded closed-loop bench: " ^ msg)
-  in
   stop_single ();
   (* Two shards behind the router, same offered load. *)
   let s1, stop1 = spawn_server () in
@@ -1043,20 +957,12 @@ let serve_sharded () =
     [
       row "single" single;
       row "router+2shards" sharded;
-      [
-        "single (closed loop)"; "-";
-        B.f2 (float_of_int closed.Client.requests /. closed.Client.elapsed_s);
-        string_of_int closed.Client.ok;
-        B.f2 closed.Client.p50_ms; "-"; B.f2 closed.Client.max_ms;
-      ];
     ];
   Printf.printf
     "\nopen-loop latency is measured from each request's scheduled Poisson\n\
      arrival, so backlog a slow answer causes is charged to the requests\n\
-     it delays; the closed-loop row issues requests only after the previous\n\
-     response (coordinated omission) and its tail is optimistic. The router\n\
-     must sustain the same offered load as the single server; its per-request\n\
-     floor adds one scatter-gather hop.\n";
+     it delays. The router must sustain the same offered load as the\n\
+     single server; its per-request floor adds one scatter-gather hop.\n";
   (* The acceptance gate from the issue: the sharded deployment sustains
      the target rate no worse than the single server (5% slack for timer
      jitter at the 1-2 s horizon of this experiment). *)
@@ -1196,8 +1102,9 @@ let perf_suite ~slowdown () =
   let eq_pattern, eq_sl = title_self_join () in
   (* Matcher kernels: the five-label scalability query over a larger
      corpus, one SEO shared by both paths so the medians isolate the
-     single-pass compiled matcher against the interpreted
-     scan/prune/embed pipeline. *)
+     single-pass compiled matcher against the in-memory TOSS algebra
+     (per-document embedding enumeration, the paper's reference
+     semantics). Both must return the same witnesses. *)
   let mc = Corpus.generate ~seed:81 ~n_papers:400 () in
   let md = Dblp_gen.render ~seed:81 mc in
   let m_coll = collection_of_tree "dblp" md.Dblp_gen.tree in
@@ -1205,6 +1112,14 @@ let perf_suite ~slowdown () =
     seo_of_docs ~content_tags:[ "booktitle" ] ~eps:2.0
       [ Doc.of_tree md.Dblp_gen.tree ]
   in
+  (let compiled, _ =
+     Executor.select ~mode:Executor.Toss m_seo m_coll ~pattern:sel_pattern ~sl:sel_sl
+   in
+   let algebra =
+     Toss_algebra.select m_seo ~pattern:sel_pattern ~sl:sel_sl [ md.Dblp_gen.tree ]
+   in
+   if not (List.equal Tree.equal compiled algebra) then
+     failwith "match-compiled and match-algebra disagree");
   let sea_h = Lexicon.isa_hierarchy (Lexicon.synthetic ~seed:9 ~n_terms:200) in
   let srv = serve_engine ~seed:91 ~n_papers:100 in
   (* Scale-out kernel deployment: the serve-uncached corpus and query,
@@ -1378,10 +1293,10 @@ let perf_suite ~slowdown () =
           ignore
             (Executor.select ~mode:Executor.Toss m_seo m_coll ~pattern:sel_pattern
                ~sl:sel_sl));
-      ("match-interpreted", runs, fun () ->
+      ("match-algebra", runs, fun () ->
           ignore
-            (Executor.select ~mode:Executor.Toss ~compile:false m_seo m_coll
-               ~pattern:sel_pattern ~sl:sel_sl));
+            (Toss_algebra.select m_seo ~pattern:sel_pattern ~sl:sel_sl
+               [ md.Dblp_gen.tree ]));
       ("xpath-eval", runs, fun () ->
           ignore (Collection.Snapshot.eval_string coll "//inproceedings[booktitle='VLDB']/author"));
       ("sea-enhance", runs, fun () ->
@@ -1504,9 +1419,7 @@ let experiments =
     ("abl-sea", abl_sea);
     ("abl-fuse", abl_fuse);
     ("seo-build", seo_build);
-    ("abl-idx", abl_idx);
     ("abl-plan", abl_plan);
-    ("abl-compile", abl_compile);
     ("abl-simjoin", abl_simjoin);
     ("serve-cache", serve_cache);
     ("serve-parallel", serve_parallel);

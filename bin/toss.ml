@@ -225,8 +225,8 @@ let print_trace oc (stats : Executor.stats) =
   print_phase_table oc stats;
   Printf.fprintf oc "trace:\n%s" (Toss_obs.Span.to_string stats.Executor.trace)
 
-let query files right query mode eps show_xpath explain no_planner no_compile
-    no_simjoin trace show_stats explain_analyze analyze_json profile slow_ms =
+let run_query files right query mode eps explain no_planner no_simjoin trace
+    show_stats explain_analyze analyze_json profile slow_ms =
   (* EXPLAIN ANALYZE implies tracing: the analyzed plan is the span tree
      with its per-operator actuals (and allocation deltas). *)
   if trace || explain_analyze || analyze_json <> None then
@@ -283,9 +283,8 @@ let query files right query mode eps show_xpath explain no_planner no_compile
                   if explain then begin
                     let plan =
                       Toss_core.Planner.plan_join ~mode
-                        ~optimize:(not no_planner) ~compile:(not no_compile)
-                        ~simjoin:(not no_simjoin) seo coll rcoll
-                        ~pattern:q.Tql.pattern ~sl
+                        ~optimize:(not no_planner) ~simjoin:(not no_simjoin) seo
+                        coll rcoll ~pattern:q.Tql.pattern ~sl
                     in
                     print_string "EXPLAIN\n";
                     print_string (Toss_core.Plan.to_string plan);
@@ -295,8 +294,8 @@ let query files right query mode eps show_xpath explain no_planner no_compile
                   else begin
                     let results, stats =
                       Executor.join ~mode ~planner:(not no_planner)
-                        ~compile:(not no_compile) ~simjoin:(not no_simjoin) seo
-                        coll rcoll ~pattern:q.Tql.pattern ~sl
+                        ~simjoin:(not no_simjoin) seo coll rcoll
+                        ~pattern:q.Tql.pattern ~sl
                     in
                     Printf.printf "%d result(s) in %.4fs\n" (List.length results)
                       (Executor.total_s stats.Executor.phases);
@@ -314,20 +313,16 @@ let query files right query mode eps show_xpath explain no_planner no_compile
                     `Ok ()
                   end)
           | None ->
-          if show_xpath then
-            prerr_endline
-              (Toss_core.Explain.to_string
-                 (Toss_core.Explain.explain ~mode seo q.Tql.pattern));
           (match q.Tql.target with
           | Tql.Project _ when explain ->
               prerr_endline "toss query --explain: SELECT queries only \
                              (projections bypass the planner)"
           | Tql.Select sl when explain ->
-              (* EXPLAIN without ANALYZE: build the plan (rewrite +
-                 statistics only) and show it without executing. *)
+              (* EXPLAIN without ANALYZE: build the plan and show it
+                 without executing. *)
               let plan =
-                Toss_core.Planner.plan_select ~mode ~optimize:(not no_planner)
-                  ~compile:(not no_compile) seo coll ~pattern:q.Tql.pattern ~sl
+                Toss_core.Planner.plan_select ~mode seo coll ~pattern:q.Tql.pattern
+                  ~sl
               in
               let e =
                 Toss_core.Explain.with_plan
@@ -350,8 +345,7 @@ let query files right query mode eps show_xpath explain no_planner no_compile
               List.iter (fun t -> print_string (Printer.to_pretty_string t)) results
           | Tql.Select sl ->
               let results, stats =
-                Executor.select ~mode ~planner:(not no_planner)
-                  ~compile:(not no_compile) seo coll ~pattern:q.Tql.pattern ~sl
+                Executor.select ~mode seo coll ~pattern:q.Tql.pattern ~sl
               in
               Printf.printf "%d result(s) in %.4fs\n" (List.length results)
                 (Executor.total_s stats.Executor.phases);
@@ -379,6 +373,19 @@ let query files right query mode eps show_xpath explain no_planner no_compile
             print_string (Toss_obs.Metrics.to_table (Toss_obs.Metrics.snapshot ()));
           `Ok ()))
 
+(* The pairing knobs only shape joins; on a selection they would be
+   silently ignored, so they are refused instead. *)
+let query files right query mode eps explain no_planner no_simjoin trace
+    show_stats explain_analyze analyze_json profile slow_ms =
+  if right = [] && (no_planner || no_simjoin) then
+    `Error
+      ( true,
+        (if no_planner then "--no-planner" else "--no-simjoin")
+        ^ ": joins only (pass --right FILE); a selection has a single plan" )
+  else
+    run_query files right query mode eps explain no_planner no_simjoin trace
+      show_stats explain_analyze analyze_json profile slow_ms
+
 let query_cmd =
   let files =
     Arg.(non_empty & pos_left ~rev:true 0 file [] & info [] ~docv:"FILE")
@@ -401,29 +408,17 @@ let query_cmd =
     Arg.(value & opt float 2.0 & info [ "eps" ] ~docv:"EPS"
            ~doc:"Similarity threshold.")
   in
-  let show_xpath =
-    Arg.(value & flag & info [ "show-xpath" ]
-           ~doc:"Print the rewritten XPath queries to stderr.")
-  in
   let explain =
     Arg.(value & flag & info [ "explain" ]
-           ~doc:"Show the query plan without executing it: the rewritten \
-                 store queries, the physical operator tree with the \
-                 planner's estimated cardinalities, scan order, pruning \
-                 and join strategy.")
+           ~doc:"Show the query plan without executing it: the SEO \
+                 expansions, the compiled matcher's states and, for joins, \
+                 the pairing strategy.")
   in
   let no_planner =
     Arg.(value & flag & info [ "no-planner" ]
-           ~doc:"Disable cost-based planning: scans run in rewrite order, \
-                 no candidate-document pruning, nested-loop pairing. \
-                 Results are identical; only the work differs.")
-  in
-  let no_compile =
-    Arg.(value & flag & info [ "no-compile" ]
-           ~doc:"Disable pattern compilation: run the interpreted \
-                 scan/prune/embed pipeline instead of the single-pass \
-                 compiled matcher. Results are identical; only the work \
-                 differs.")
+           ~doc:"Joins only: disable the planner's choice of pairing \
+                 operator and pair by nested loop. Results are identical; \
+                 only the work differs.")
   in
   let no_simjoin =
     Arg.(value & flag & info [ "no-simjoin" ]
@@ -439,15 +434,14 @@ let query_cmd =
   in
   let show_stats =
     Arg.(value & flag & info [ "stats" ]
-           ~doc:"Print the metrics-registry snapshot (index hit rates, \
-                 rewrite fan-out, embedding counts) after the results.")
+           ~doc:"Print the metrics-registry snapshot (expansion-cache \
+                 hits, matcher work, funnel sizes) after the results.")
   in
   let explain_analyze =
     Arg.(value & flag & info [ "explain-analyze" ]
            ~doc:"Run the query, then print the plan annotated with \
-                 per-operator actuals: rows in/out of every rewritten \
-                 XPath step, per-document embedding counts, and wall \
-                 time per phase.")
+                 per-operator actuals: per-document matcher counts and \
+                 wall time per phase.")
   in
   let analyze_json =
     Arg.(value & opt (some string) None & info [ "analyze-json" ] ~docv:"FILE"
@@ -457,8 +451,7 @@ let query_cmd =
   let profile =
     Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE"
            ~doc:"Stream the structured profiler events of this run \
-                 (query_start, rewrite_done, xpath_exec, embed_done, \
-                 query_end) as line-delimited JSON to $(docv).")
+                 (query_start, rewrite_done, embed_done, query_end) as line-delimited JSON to $(docv).")
   in
   let slow_ms =
     Arg.(value & opt (some int) None & info [ "slow-ms" ] ~docv:"MS"
@@ -470,9 +463,9 @@ let query_cmd =
     (Cmd.info "query"
        ~doc:"Run a TQL pattern-tree query over one or more documents.")
     Term.(ret
-            (const query $ files $ right $ q $ mode $ eps $ show_xpath $ explain
-             $ no_planner $ no_compile $ no_simjoin $ trace $ show_stats
-             $ explain_analyze $ analyze_json $ profile $ slow_ms))
+            (const query $ files $ right $ q $ mode $ eps $ explain
+             $ no_planner $ no_simjoin $ trace $ show_stats $ explain_analyze
+             $ analyze_json $ profile $ slow_ms))
 
 (* ----------------------------- stats ------------------------------ *)
 
@@ -601,9 +594,8 @@ let serve_cmd =
                  and append every insert to it (created if missing).")
   in
   let domains =
-    Arg.(value & opt int 4 & info [ "domains"; "workers" ] ~docv:"N"
-           ~doc:"Worker domains executing queued requests in parallel \
-                 ($(b,--workers) is accepted as an alias).")
+    Arg.(value & opt int 4 & info [ "domains" ] ~docv:"N"
+           ~doc:"Worker domains executing queued requests in parallel.")
   in
   let max_queue =
     Arg.(value & opt int 64 & info [ "max-queue" ] ~docv:"N"
@@ -659,7 +651,7 @@ let serve_cmd =
 (* ----------------------------- client ----------------------------- *)
 
 let client_run socket codec allow_partial op arg1 arg2 arg3 mode no_cache
-    deadline_ms trace_id bench concurrency allow_errors table =
+    deadline_ms trace_id table =
   let need2 what k =
     match (arg1, arg2) with
     | Some a, Some b -> k a b
@@ -702,58 +694,37 @@ let client_run socket codec allow_partial op arg1 arg2 arg3 mode no_cache
   match request with
   | Error msg -> `Error (true, msg)
   | Ok request -> (
-      match bench with
-      | Some requests -> (
-          Printf.eprintf
-            "toss client: note: --bench is closed-loop and understates tail \
-             latency under load; prefer `toss loadgen` (open-loop)\n%!";
-          match
-            Toss_server.Client.bench ~codec ~socket ~requests ~concurrency
-              ?deadline_ms
-              (fun _ -> request)
-          with
-          | Error msg -> `Error (false, msg)
-          | Ok r ->
-              print_endline (Toss_json.to_string (Toss_server.Client.bench_to_json r));
-              if
-                (not allow_errors)
-                && (r.Toss_server.Client.transport_errors > 0
-                   || r.Toss_server.Client.errors <> [])
-              then exit 1
-              else `Ok ())
-      | None -> (
-          match Toss_server.Client.connect ~codec socket with
-          | Error msg -> `Error (false, msg)
-          | Ok conn -> (
-              let result =
-                Toss_server.Client.call conn ?deadline_ms ?trace_id
-                  ~allow_partial request
-              in
-              Toss_server.Client.close conn;
-              match result with
-              | Ok payload ->
-                  (* [--table] renders the human form of a stats payload;
-                     [metrics] prints the raw Prometheus exposition (the
-                     scrape format — curl-pipe friendly); everything else
-                     prints the result as one JSON line. *)
-                  (match
-                     if table then
-                       Option.bind (Toss_json.member "table" payload)
-                         Toss_json.to_str
-                     else if op = "metrics" then
-                       Option.bind (Toss_json.member "prometheus" payload)
-                         Toss_json.to_str
-                     else None
-                   with
-                  | Some text -> print_string text
-                  | None -> print_endline (Toss_json.to_string payload));
-                  `Ok ()
-              | Error (Toss_server.Client.Wire e) ->
-                  Printf.eprintf "error %s: %s\n"
-                    (Toss_server.Protocol.code_name e.Toss_server.Protocol.code)
-                    e.Toss_server.Protocol.message;
-                  exit 1
-              | Error (Toss_server.Client.Transport msg) -> `Error (false, msg))))
+      match Toss_server.Client.connect ~codec socket with
+      | Error msg -> `Error (false, msg)
+      | Ok conn -> (
+          let result =
+            Toss_server.Client.call conn ?deadline_ms ?trace_id ~allow_partial
+              request
+          in
+          Toss_server.Client.close conn;
+          match result with
+          | Ok payload ->
+              (* [--table] renders the human form of a stats payload;
+                 [metrics] prints the raw Prometheus exposition (the
+                 scrape format — curl-pipe friendly); everything else
+                 prints the result as one JSON line. *)
+              (match
+                 if table then
+                   Option.bind (Toss_json.member "table" payload) Toss_json.to_str
+                 else if op = "metrics" then
+                   Option.bind (Toss_json.member "prometheus" payload)
+                     Toss_json.to_str
+                 else None
+               with
+              | Some text -> print_string text
+              | None -> print_endline (Toss_json.to_string payload));
+              `Ok ()
+          | Error (Toss_server.Client.Wire e) ->
+              Printf.eprintf "error %s: %s\n"
+                (Toss_server.Protocol.code_name e.Toss_server.Protocol.code)
+                e.Toss_server.Protocol.message;
+              exit 1
+          | Error (Toss_server.Client.Transport msg) -> `Error (false, msg)))
 
 let codec_arg =
   Arg.(value
@@ -808,25 +779,6 @@ let client_cmd =
                  characters); the server echoes it and keys its logs by \
                  it. Generated server-side when omitted.")
   in
-  let bench =
-    Arg.(value & opt (some int) None & info [ "bench" ] ~docv:"N"
-           ~doc:"Closed-loop benchmark: send the request $(docv) times and \
-                 print a latency/error summary as JSON. Exits 1 on any \
-                 error unless $(b,--allow-errors). Deprecated for latency \
-                 measurement: closed-loop numbers hide queueing delay \
-                 (coordinated omission) — prefer $(b,toss loadgen), the \
-                 open-loop generator.")
-  in
-  let concurrency =
-    Arg.(value & opt int 4 & info [ "concurrency" ] ~docv:"C"
-           ~doc:"Bench connections (threads), each with one request \
-                 outstanding.")
-  in
-  let allow_errors =
-    Arg.(value & flag & info [ "allow-errors" ]
-           ~doc:"Bench only: report errors in the summary instead of \
-                 exiting 1 (for deliberately induced overload).")
-  in
   let table =
     Arg.(value & flag & info [ "table" ]
            ~doc:"With $(b,stats): print the human-readable metrics table \
@@ -834,12 +786,11 @@ let client_cmd =
   in
   Cmd.v
     (Cmd.info "client"
-       ~doc:"Talk to a running $(b,toss serve): one-shot requests or a \
-             closed-loop benchmark.")
+       ~doc:"Talk to a running $(b,toss serve) or $(b,toss router): one \
+             request per call. For load, use $(b,toss loadgen).")
     Term.(ret
             (const client_run $ socket $ codec_arg $ allow_partial $ op $ arg1
-             $ arg2 $ arg3 $ mode $ no_cache $ deadline_ms $ trace_id $ bench
-             $ concurrency $ allow_errors $ table))
+             $ arg2 $ arg3 $ mode $ no_cache $ deadline_ms $ trace_id $ table))
 
 (* ----------------------------- router ----------------------------- *)
 
@@ -1045,8 +996,7 @@ let check_cmd =
   let fault =
     Arg.(value & opt string "none"
          & info [ "inject-fault" ] ~docv:"FAULT"
-             ~doc:"Inject a known engine fault (hash-no-recheck, \
-                   prune-first-only, no-dedup, \
+             ~doc:"Inject a known engine fault (hash-no-recheck, no-dedup, \
                    compile-skip-descendant-edge, simjoin-prefix-too-short, \
                    simjoin-no-recheck) to exercise the harness; it must \
                    be caught and shrunk.")

@@ -1,29 +1,14 @@
 module Tree = Toss_xml.Tree
 module Doc = Tree.Doc
 module Collection = Toss_store.Collection
-module Condition = Toss_tax.Condition
 module Executor = Toss_core.Executor
-module Toss_condition = Toss_core.Toss_condition
+module Planner = Toss_core.Planner
+module Plan = Toss_core.Plan
 
-type config = { compile : bool; planner : bool; use_index : bool }
+type config = { planner : bool }
 
-let configs =
-  [
-    { compile = true; planner = true; use_index = true };
-    { compile = true; planner = true; use_index = false };
-    { compile = true; planner = false; use_index = true };
-    { compile = true; planner = false; use_index = false };
-    { compile = false; planner = true; use_index = true };
-    { compile = false; planner = true; use_index = false };
-    { compile = false; planner = false; use_index = true };
-    { compile = false; planner = false; use_index = false };
-  ]
-
-let config_name c =
-  Printf.sprintf "compile=%s planner=%s index=%s"
-    (if c.compile then "on" else "off")
-    (if c.planner then "on" else "off")
-    (if c.use_index then "on" else "off")
+let configs = [ { planner = true }; { planner = false } ]
+let config_name c = if c.planner then "planner=on" else "planner=off"
 
 type failure = {
   case : Gen.case;
@@ -46,7 +31,11 @@ let equal_multiset a b =
 
 let modes = [ Executor.Tax; Executor.Toss ]
 
-let check_case ?(simjoin = true) (case : Gen.case) =
+(* The harness drives [Planner] and [Plan.run] rather than [Executor], so
+   it can hand [Plan.run] a sabotage [fault] without the executor
+   carrying a test hook. The mode's evaluator and the join's
+   side-to-snapshot mapping are the executor's own. *)
+let check_case ?(fault = Plan.No_fault) ?(simjoin = true) (case : Gen.case) =
   let seo = Gen.seo_of case in
   let coll = Collection.snapshot (Collection.of_trees ~name:"check" case.Gen.docs) in
   let rcoll =
@@ -59,42 +48,37 @@ let check_case ?(simjoin = true) (case : Gen.case) =
     Some { case; mode; config; expected; got; detail }
   in
   let check_mode mode =
-    let eval =
-      match mode with
-      | Executor.Tax -> Condition.eval_tax
-      | Executor.Toss -> Toss_condition.evaluator seo
-    in
+    let eval = Executor.evaluator_of mode seo in
     match case.Gen.op with
-    | Gen.Select ->
+    | Gen.Select -> (
         let oracle_trees, oracle_n = Oracle.select ~eval ~pattern ~sl docs in
         let expected = canonical oracle_trees in
-        List.find_map
-          (fun config ->
-            let results, stats =
-              Executor.select ~mode ~planner:config.planner
-                ~compile:config.compile ~use_index:config.use_index seo coll
-                ~pattern ~sl
-            in
-            let got = canonical results in
-            if not (equal_multiset expected got) then
-              fail mode config expected got
-                (Printf.sprintf "select result multiset differs (oracle %d, executor %d)"
-                   (List.length expected) (List.length got))
-            else if stats.Executor.n_embeddings <> oracle_n then
-              fail mode config expected got
-                (Printf.sprintf "embedding count differs (oracle %d, executor %d)"
-                   oracle_n stats.Executor.n_embeddings)
-            else None)
-          configs
+        (* A selection has a single plan; [planner] only shapes joins. *)
+        let config = { planner = true } in
+        let plan = Planner.plan_select ~mode seo coll ~pattern ~sl in
+        let results, (exec : Plan.exec_stats) =
+          Plan.run ~fault ~eval ~coll_of:(fun _ -> coll) plan
+        in
+        let got = canonical results in
+        if not (equal_multiset expected got) then
+          fail mode config expected got
+            (Printf.sprintf "select result multiset differs (oracle %d, executor %d)"
+               (List.length expected) (List.length got))
+        else if exec.Plan.n_embeddings <> oracle_n then
+          fail mode config expected got
+            (Printf.sprintf "embedding count differs (oracle %d, executor %d)"
+               oracle_n exec.Plan.n_embeddings)
+        else None)
     | Gen.Join ->
         let expected = canonical (Oracle.join ~eval ~pattern ~sl docs rdocs) in
+        let coll_of = Executor.join_sides coll rcoll in
         List.find_map
           (fun config ->
-            let results, _ =
-              Executor.join ~mode ~planner:config.planner
-                ~compile:config.compile ~use_index:config.use_index ~simjoin seo
-                coll rcoll ~pattern ~sl
+            let plan =
+              Planner.plan_join ~mode ~optimize:config.planner ~simjoin seo coll
+                rcoll ~pattern ~sl
             in
+            let results, _ = Plan.run ~fault ~eval ~coll_of plan in
             let got = canonical results in
             if not (equal_multiset expected got) then
               fail mode config expected got

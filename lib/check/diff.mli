@@ -1,21 +1,19 @@
 (** One case, every engine configuration, against the oracle.
 
-    A case passes when, for both semantics (TAX and TOSS) and all eight
-    engine configurations (compiled matcher on/off × planner on/off ×
-    value index on/off — which also covers hash/sim-pair vs nested-loop
-    pairing for joins), the executor's results equal the oracle's as
-    canonicalized witness-tree multisets, and (for selections) the
-    executor's [n_embeddings] funnel stat equals the oracle's count of
-    condition-satisfying embeddings. Because the compiled axis runs the
-    same cases through both the arena matcher and the interpreted
-    scan/prune/embed pipeline, the interpreter serves as a second,
-    in-engine reference alongside the naive oracle. *)
+    A case passes when, for both semantics (TAX and TOSS), the engine's
+    results equal the oracle's as canonicalized witness-tree multisets,
+    and (for selections) the engine's [n_embeddings] funnel stat equals
+    the oracle's count of condition-satisfying embeddings. Selections
+    have one plan, the compiled matcher; joins run under both planner
+    settings, so the hash and sim-pair operators are each checked
+    alongside the nested-loop pairing. The engine is driven through
+    {!Toss_core.Planner} and {!Toss_core.Plan.run}, the same operators
+    {!Toss_core.Executor} runs, so a sabotage fault can be passed in. *)
 
-type config = { compile : bool; planner : bool; use_index : bool }
+type config = { planner : bool }
 
 val configs : config list
-(** The eight compile/planner/index combinations, most-optimized
-    first. *)
+(** Planner on, then off. *)
 
 val config_name : config -> string
 
@@ -34,9 +32,12 @@ val canonical : Toss_xml.Tree.t list -> Toss_xml.Tree.t list
 (** Sorted by {!Toss_xml.Tree.compare} — the multiset normal form
     results are compared in. *)
 
-val check_case : ?simjoin:bool -> Gen.case -> failure option
+val check_case :
+  ?fault:Toss_core.Plan.fault -> ?simjoin:bool -> Gen.case -> failure option
 (** [None] when every mode × configuration agrees with the oracle; the
-    first discrepancy otherwise. [simjoin] (default true) is forwarded
-    to {!Toss_core.Executor.join} — the CLI's [--no-simjoin] axis, which
+    first discrepancy otherwise. [fault] (default
+    {!Toss_core.Plan.No_fault}) is passed to every {!Toss_core.Plan.run}.
+    [simjoin] (default true) is forwarded to
+    {!Toss_core.Planner.plan_join} — the CLI's [--no-simjoin] axis, which
     pins the nested-loop pairing for similarity cross-conditions instead
     of the sim-pair operator. *)

@@ -12,7 +12,6 @@ type outcome =
 let fault_of_string = function
   | "none" -> Some Plan.No_fault
   | "hash-no-recheck" -> Some Plan.Hash_no_recheck
-  | "prune-first-only" -> Some Plan.Prune_first_only
   | "no-dedup" -> Some Plan.No_dedup
   | "compile-skip-descendant-edge" -> Some Plan.Compile_skip_descendant_edge
   | "simjoin-prefix-too-short" -> Some Plan.Simjoin_prefix_too_short
@@ -23,7 +22,6 @@ let fault_names =
   [
     "none";
     "hash-no-recheck";
-    "prune-first-only";
     "no-dedup";
     "compile-skip-descendant-edge";
     "simjoin-prefix-too-short";
@@ -35,23 +33,18 @@ let doc_count (case : Gen.case) =
 
 let run ?(fault = Plan.No_fault) ?op ?simjoin ~seed ~runs () =
   let master = Rng.create seed in
-  let with_fault f =
-    Plan.fault := fault;
-    Fun.protect ~finally:(fun () -> Plan.fault := Plan.No_fault) f
+  let rec go i =
+    if i > runs then Pass { runs }
+    else
+      let case_seed = Rng.sub_seed master in
+      let case = Gen.case ?op case_seed in
+      match Diff.check_case ~fault ?simjoin case with
+      | None -> go (i + 1)
+      | Some _ ->
+          let _shrunk, failure, steps = Shrink.minimize ~fault ?simjoin case in
+          Fail { run = i; case_seed; failure; steps }
   in
-  with_fault (fun () ->
-      let rec go i =
-        if i > runs then Pass { runs }
-        else
-          let case_seed = Rng.sub_seed master in
-          let case = Gen.case ?op case_seed in
-          match Diff.check_case ?simjoin case with
-          | None -> go (i + 1)
-          | Some _ ->
-              let _shrunk, failure, steps = Shrink.minimize ?simjoin case in
-              Fail { run = i; case_seed; failure; steps }
-      in
-      go 1)
+  go 1
 
 let repro (failure : Diff.failure) =
   let b = Buffer.create 1024 in

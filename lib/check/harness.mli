@@ -4,7 +4,7 @@
     the oracle under every engine configuration, and on the first
     discrepancy shrinks it to a locally-minimal repro. Supports fault
     injection (see {!Toss_core.Plan.fault}) so the harness itself can be
-    tested: an injected planner fault must be caught and shrunk. *)
+    tested: an injected engine fault must be caught and shrunk. *)
 
 type outcome =
   | Pass of { runs : int }
@@ -29,10 +29,10 @@ val run :
   unit ->
   outcome
 (** Deterministic for a given (seed, runs, op, simjoin, fault). The
-    injected fault is active only for the duration of the call;
-    [Plan.fault] is restored on exit, including on exceptions.
-    [simjoin:false] runs every join through the nested-loop reference
-    instead of the sim-pair operator — the CI matrix's second axis. *)
+    fault is an argument of every engine run the harness makes, so it
+    never outlives the call. [simjoin:false] runs every join through the
+    nested-loop reference instead of the sim-pair operator — the CI
+    matrix's second axis. *)
 
 val repro : Diff.failure -> string
 (** The paste-into-test reproduction for a failure: a comment naming the

@@ -9,12 +9,16 @@
     reproduces the failure. *)
 
 val minimize :
-  ?max_steps:int -> ?simjoin:bool -> Gen.case -> Gen.case * Diff.failure * int
+  ?max_steps:int ->
+  ?fault:Toss_core.Plan.fault ->
+  ?simjoin:bool ->
+  Gen.case ->
+  Gen.case * Diff.failure * int
 (** [minimize case] returns a locally-minimal failing case, its (possibly
     different) discrepancy, and the number of candidate cases tried.
     [max_steps] bounds the number of oracle-vs-executor comparisons spent
-    shrinking (default 400). [simjoin] is forwarded to every
-    {!Diff.check_case} call, so a failure found with the sim-pair
-    operator disabled shrinks under the same configuration.
+    shrinking (default 400). [fault] and [simjoin] are forwarded to
+    every {!Diff.check_case} call, so a failure shrinks under the same
+    injected fault and sim-pair setting it was found with.
 
     @raise Invalid_argument if [case] does not fail to begin with. *)

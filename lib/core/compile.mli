@@ -1,7 +1,7 @@
 (** Pattern compilation: a pattern tree plus its SEO-expanded node
     predicates, compiled into a single-pass bottom-up arena matcher.
 
-    The interpreted pipeline answers a k-node pattern with k XPath
+    The paper's executor answers a k-node pattern with k XPath
     evaluations plus a structural-join reassembly — k passes over each
     document. A compiled matcher makes {e one} pass instead: it walks a
     document's arena in reverse preorder, evaluates every pattern node's
@@ -16,9 +16,9 @@
 
     Produced bindings are exactly {!Toss_tax.Embedding.enumerate}'s:
     the same multiset, the same per-binding label order (pattern
-    preorder), the same final sort — the differential harness
-    ([Toss_check]) compares the two witness-for-witness, with the
-    interpreter demoted to the in-engine reference implementation. *)
+    preorder), the same final sort — the in-memory algebra built on that
+    enumeration is the reference the tests compare it against, and the
+    differential harness ([Toss_check]) holds it to a naive oracle. *)
 
 type t
 (** A compiled matcher: one state per pattern node (in pattern preorder,
@@ -63,8 +63,8 @@ val run_doc :
   (int * Toss_xml.Tree.Doc.node) list list * doc_stats
 (** One pass over one document's arena. Returns the complete bindings
     (label, node) in pattern preorder, filtered by the full pattern
-    condition and sorted — bit-for-bit what the interpreter's
-    enumeration yields for the same document.
+    condition and sorted — bit-for-bit what
+    {!Toss_tax.Embedding.enumerate} yields for the same document.
 
     [check] is the cooperative cancellation checkpoint, called once per
     arena node {e inside} the matching loop, so a server deadline can

@@ -1,6 +1,5 @@
 module Condition = Toss_tax.Condition
 module Collection = Toss_store.Collection
-module Xpath = Toss_store.Xpath
 module Metrics = Toss_obs.Metrics
 module Span = Toss_obs.Span
 module Event = Toss_obs.Event
@@ -15,7 +14,6 @@ type stats = {
   n_candidates : int;
   n_embeddings : int;
   n_results : int;
-  queries : (int * string) list;
   trace : Span.t;
 }
 
@@ -62,6 +60,10 @@ let note_sizes ~candidates ~embeddings ~results =
 let evaluator_of mode seo =
   match mode with Tax -> Condition.eval_tax | Toss -> Toss_condition.evaluator seo
 
+let join_sides left_coll right_coll = function
+  | Plan.Left | Plan.Single -> left_coll
+  | Plan.Right -> right_coll
+
 let mode_name = function Tax -> "tax" | Toss -> "toss"
 
 (* Event-log boundaries of one executor run. Payload construction is
@@ -77,11 +79,8 @@ let event_query_start ~op ~mode collection =
           ("collection", Event.Str (Collection.Snapshot.name collection));
         ]
 
-let event_rewrite_done ~op queries =
-  if Event.active () then
-    Event.emit Event.Rewrite_done
-      ~payload:
-        [ ("op", Event.Str op); ("queries", Event.Int (List.length queries)) ]
+let event_rewrite_done ~op =
+  if Event.active () then Event.emit Event.Rewrite_done ~payload:[ ("op", Event.Str op) ]
 
 let event_query_end ~op ~trace ~phases ~stats:(n_candidates, n_embeddings, n_results) =
   if Event.active () then
@@ -95,13 +94,11 @@ let event_query_end ~op ~trace ~phases ~stats:(n_candidates, n_embeddings, n_res
           ("elapsed_s", Event.Float (total_s phases));
         ]
 
-(* Both entry points are thin facades now: phase (i) builds a plan (the
-   planner rewrites the pattern and consults collection statistics),
-   phases (ii)/(iii) are [Plan.run]. [planner:false] executes the same
-   query through a naive plan — rewrite-order scans, no pruning,
-   nested-loop pairing — preserving the pre-planner strategy. *)
+(* Both entry points are thin facades: phase (i) builds a plan (the
+   planner compiles the pattern and, for joins, picks the pairing
+   operator), phases (ii)/(iii) are [Plan.run]. *)
 
-let finish ~op ~plan (results, (exec : Plan.exec_stats)) trace =
+let finish ~op (results, (exec : Plan.exec_stats)) trace =
   let phases = phases_of_trace trace in
   let n_results = List.length results in
   note_phases phases;
@@ -109,54 +106,44 @@ let finish ~op ~plan (results, (exec : Plan.exec_stats)) trace =
     ~results:n_results;
   event_query_end ~op ~trace ~phases
     ~stats:(exec.Plan.n_candidates, exec.Plan.n_embeddings, n_results);
-  let query_strings =
-    List.map (fun (l, q) -> (l, Xpath.to_string q)) (Plan.label_queries plan)
-  in
   ( results,
     {
       phases;
       n_candidates = exec.Plan.n_candidates;
       n_embeddings = exec.Plan.n_embeddings;
       n_results;
-      queries = query_strings;
       trace;
     } )
 
-let select ?(mode = Toss) ?(use_index = true) ?max_expansion ?(planner = true)
-    ?(compile = true) ?check seo collection ~pattern ~sl =
+let select ?(mode = Toss) ?check seo collection ~pattern ~sl =
   Metrics.incr m_selects;
   event_query_start ~op:"select" ~mode collection;
   let eval = evaluator_of mode seo in
-  let (plan, outcome), trace =
+  let outcome, trace =
     Span.run Names.select_root (fun () ->
         let plan =
           Span.with_ Names.rewrite (fun () ->
-              Planner.plan_select ~mode ~use_index ?max_expansion
-                ~optimize:planner ~compile seo collection ~pattern ~sl)
+              Planner.plan_select ~mode seo collection ~pattern ~sl)
         in
-        event_rewrite_done ~op:"select" (Plan.label_queries plan);
-        (plan, Plan.run ?check ~use_index ~eval ~coll_of:(fun _ -> collection) plan))
+        event_rewrite_done ~op:"select";
+        Plan.run ?check ~eval ~coll_of:(fun _ -> collection) plan)
   in
-  finish ~op:"select" ~plan outcome trace
+  finish ~op:"select" outcome trace
 
-let join ?(mode = Toss) ?(use_index = true) ?max_expansion ?(planner = true)
-    ?(compile = true) ?(simjoin = true) ?check seo left_coll right_coll ~pattern
-    ~sl =
+let join ?(mode = Toss) ?(planner = true) ?(simjoin = true) ?check seo left_coll
+    right_coll ~pattern ~sl =
   Metrics.incr m_joins;
   event_query_start ~op:"join" ~mode left_coll;
   let eval = evaluator_of mode seo in
-  let coll_of = function
-    | Plan.Left | Plan.Single -> left_coll
-    | Plan.Right -> right_coll
-  in
-  let (plan, outcome), trace =
+  let coll_of = join_sides left_coll right_coll in
+  let outcome, trace =
     Span.run Names.join_root (fun () ->
         let plan =
           Span.with_ Names.rewrite (fun () ->
-              Planner.plan_join ~mode ~use_index ?max_expansion ~optimize:planner
-                ~compile ~simjoin seo left_coll right_coll ~pattern ~sl)
+              Planner.plan_join ~mode ~optimize:planner ~simjoin seo left_coll
+                right_coll ~pattern ~sl)
         in
-        event_rewrite_done ~op:"join" (Plan.label_queries plan);
-        (plan, Plan.run ?check ~use_index ~eval ~coll_of plan))
+        event_rewrite_done ~op:"join";
+        Plan.run ?check ~eval ~coll_of plan)
   in
-  finish ~op:"join" ~plan outcome trace
+  finish ~op:"join" outcome trace

@@ -1,33 +1,22 @@
 (** The Query Executor (TOSS architecture component 3).
 
     Executes pattern-tree queries against a store collection in the three
-    phases the paper times (Section 6): (i) parse/rewrite the pattern tree
-    into XPath queries, (ii) execute the XPath queries against the store,
-    (iii) assemble the fetched candidates into TAX-form witness trees
-    (re-checking the full selection condition). The [mode] selects the
-    baseline TAX semantics or the ontology-aware TOSS semantics; both run
-    the same pipeline, so measured differences reflect the ontology
-    accesses, as in the paper.
+    phases the paper times (Section 6): (i) rewrite the pattern tree,
+    (ii) execute it against the store, (iii) assemble TAX-form witness
+    trees. The paper's phase (i) produces XPath store queries; here it
+    compiles the pattern, with its SEO-expanded node predicates, into a
+    single-pass arena matcher ({!Compile}). No store queries are sent, so
+    phase (ii) is empty and phase (iii) holds one [match] span per
+    document. The [mode] selects the baseline TAX semantics or the
+    ontology-aware TOSS semantics; both run the same matcher, so
+    measured differences reflect the ontology accesses, as in the paper.
 
     Both entry points are facades over {!Planner.plan_select} /
-    {!Planner.plan_join} followed by {!Plan.run}: phase (i) builds the
-    physical plan (scan ordering, document pruning, and the join pairing
-    strategy are decided here from collection statistics), phases (ii)
-    and (iii) interpret it. [planner:false] runs the same query through
-    a deliberately naive plan — rewrite-order scans, no pruning,
-    nested-loop pairing — which is the pre-planner execution strategy
-    and the CLI's [--no-planner]; results are identical either way, only
-    the work to produce them changes.
-
-    By default ([compile:true]) the plan's matching side is a
-    {!Plan.Compiled_match} leaf: the pattern is compiled once into a
-    single-pass arena matcher ({!Compile}) and no XPath scans are
-    issued, so phase (ii) is empty and phase (iii) holds one [match]
-    span per document. [compile:false] — the CLI's [--no-compile] —
-    keeps the interpreted scan/prune/embed pipeline, which doubles as
-    the in-engine reference implementation the differential harness
-    ([toss check]) compares witness-for-witness against the compiled
-    matcher. Results are identical either way. *)
+    {!Planner.plan_join} followed by {!Plan.run}. For joins, phase (i)
+    also picks the pairing operator; [planner:false] — the CLI's
+    [--no-planner] — pairs by nested loop instead, the pairing
+    reference. Results are identical either way, only the work to
+    produce them changes. *)
 
 type mode = Rewrite.mode = Tax | Toss
 
@@ -39,44 +28,43 @@ type phases = {
 
 type stats = {
   phases : phases;
-  n_candidates : int;  (** candidate nodes fetched across labels *)
+  n_candidates : int;  (** arena nodes visited by the matchers *)
   n_embeddings : int;  (** pattern embeddings found during assembly *)
   n_results : int;  (** witness trees returned (after deduplication) *)
-  queries : (int * string) list;
-      (** label -> XPath sent to the store, in scan (execution) order —
-          most-selective-first when the planner is on *)
   trace : Toss_obs.Span.t;
       (** the full span tree of this run; [phases] is a view over its
           [rewrite]/[execute]/[assemble] children, so the two always
-          agree. Under [execute] there is one [xpath] span per label
-          query (annotated with [rows]/[indexed]/[scanned] by the store)
-          and under [assemble] a [prune] span per pruned side
-          (planner only, annotated [docs_in]/[docs_out]), one [embed]
-          span per surviving document (annotated with the enumeration
-          funnel) and, for joins, a [pair] span (annotated with the
-          [strategy] and pair counts) — the operators EXPLAIN ANALYZE
-          renders. Compiled runs (the default) issue no scans: [execute]
-          is empty and [assemble] holds one [match] span per document
-          (annotated [nodes]/[structural]/[matches]) instead of
-          [prune]/[embed]. Allocation deltas are populated when
+          agree. [execute] is empty; [assemble] holds one [match] span
+          per document (annotated [nodes]/[structural]/[matches]) and,
+          for joins, a [pair] span (annotated with the [strategy] and
+          pair counts) — the operators EXPLAIN ANALYZE renders.
+          Allocation deltas are populated when
           [Toss_obs.Span.set_enabled true] was called beforehand.
 
           When a [Toss_obs.Event] sink is installed, a run additionally
           emits the event stream [query_start], [rewrite_done], one
-          [xpath_exec] per label query, one [embed_done] per surviving
-          document, and [query_end] (carrying this trace). *)
+          [embed_done] per document, and [query_end] (carrying this
+          trace). *)
 }
 
 val total_s : phases -> float
 (** Sum of the three phase durations — the end-to-end query time the
     paper reports. *)
 
+val evaluator_of : mode -> Seo.t -> Toss_tax.Condition.env -> Toss_tax.Condition.t -> bool
+(** The condition evaluator a [mode] runs under: {!Toss_tax.Condition.eval_tax}
+    for [Tax], {!Toss_condition.evaluator} for [Toss]. *)
+
+val join_sides :
+  Toss_store.Collection.Snapshot.t ->
+  Toss_store.Collection.Snapshot.t ->
+  Plan.side ->
+  Toss_store.Collection.Snapshot.t
+(** [join_sides left right] is the [coll_of] a join plan runs with:
+    [Left] (and [Single]) read [left], [Right] reads [right]. *)
+
 val select :
   ?mode:mode ->
-  ?use_index:bool ->
-  ?max_expansion:int ->
-  ?planner:bool ->
-  ?compile:bool ->
   ?check:(unit -> unit) ->
   Seo.t ->
   Toss_store.Collection.Snapshot.t ->
@@ -90,20 +78,14 @@ val select :
     effect on an in-flight call. The call itself takes no locks and is
     safe to run on any domain (its observability side effects go to the
     domain-safe {!Toss_obs} registry and the calling domain's span
-    context). [planner] (default true) enables cost-based scan ordering
-    and candidate-doc pruning; [compile] (default true) runs the
-    compiled single-pass matcher instead of the interpreted pipeline.
-    [check] is forwarded to {!Plan.run} as its cooperative cancellation
-    checkpoint (the query server's per-request deadline — under a
-    compiled plan it fires once per arena node); whatever it raises
-    propagates out of this call. *)
+    context). [check] is forwarded to {!Plan.run} as its cooperative
+    cancellation checkpoint (the query server's per-request deadline —
+    it fires once per arena node); whatever it raises propagates out of
+    this call. *)
 
 val join :
   ?mode:mode ->
-  ?use_index:bool ->
-  ?max_expansion:int ->
   ?planner:bool ->
-  ?compile:bool ->
   ?simjoin:bool ->
   ?check:(unit -> unit) ->
   Seo.t ->

@@ -1,12 +1,10 @@
 module Pattern = Toss_tax.Pattern
 module Condition = Toss_tax.Condition
-module Xpath = Toss_store.Xpath
 
 type expansion = { operator : string; constant : string; terms : string list }
 
 type t = {
   mode : Rewrite.mode;
-  label_queries : (int * string) list;
   expansions : expansion list;
   residual_atoms : string list;
   plan : Plan.t option;
@@ -15,8 +13,8 @@ type t = {
 
 let atom_to_string atom = Format.asprintf "%a" Condition.pp atom
 
-(* An atom is pushable when it is a node-local top-level conjunct; those
-   are exactly what [Rewrite] turns into name tests and predicates. *)
+(* Node-local top-level conjuncts are what [Rewrite.compile_pred] folds
+   into a label's compiled predicate; every other atom is residual. *)
 let residual_atoms_of (pattern : Pattern.t) =
   let condition = pattern.Pattern.condition in
   let local =
@@ -39,11 +37,9 @@ let expansions_of ~mode seo (pattern : Pattern.t) =
         | _ -> None)
       (Condition.atoms pattern.Pattern.condition)
 
-let explain ?(mode = Rewrite.Toss) ?max_expansion seo pattern =
-  let queries = Rewrite.label_queries ~mode ?max_expansion seo pattern in
+let explain ?(mode = Rewrite.Toss) seo pattern =
   {
     mode;
-    label_queries = List.map (fun (l, q) -> (l, Xpath.to_string q)) queries;
     expansions = expansions_of ~mode seo pattern;
     residual_atoms = List.map atom_to_string (residual_atoms_of pattern);
     plan = None;
@@ -56,10 +52,6 @@ let with_plan t plan = { t with plan = Some plan }
 let pp ppf t =
   Format.fprintf ppf "@[<v>mode: %s@,"
     (match t.mode with Rewrite.Tax -> "TAX" | Rewrite.Toss -> "TOSS");
-  Format.fprintf ppf "store queries:@,";
-  List.iter
-    (fun (label, q) -> Format.fprintf ppf "  #%d: %s@," label q)
-    t.label_queries;
   if t.expansions <> [] then begin
     Format.fprintf ppf "expansions:@,";
     List.iter
@@ -90,11 +82,6 @@ let to_string t = Format.asprintf "%a" pp t
 let to_json t =
   let str s = Toss_json.quote s in
   let arr items = "[" ^ String.concat "," items ^ "]" in
-  let queries =
-    List.map
-      (fun (label, q) -> Printf.sprintf "{\"label\":%d,\"xpath\":%s}" label (str q))
-      t.label_queries
-  in
   let expansions =
     List.map
       (fun e ->
@@ -104,9 +91,9 @@ let to_json t =
       t.expansions
   in
   Printf.sprintf
-    "{\"mode\":%s,\"label_queries\":%s,\"expansions\":%s,\"residual_atoms\":%s%s%s}"
+    "{\"mode\":%s,\"expansions\":%s,\"residual_atoms\":%s%s%s}"
     (str (match t.mode with Rewrite.Tax -> "tax" | Rewrite.Toss -> "toss"))
-    (arr queries) (arr expansions)
+    (arr expansions)
     (arr (List.map str t.residual_atoms))
     (match t.plan with
     | None -> ""

@@ -1,18 +1,13 @@
 module Pattern = Toss_tax.Pattern
 module Condition = Toss_tax.Condition
-module Embedding = Toss_tax.Embedding
 module Witness = Toss_tax.Witness
 module Algebra = Toss_tax.Algebra
 module Collection = Toss_store.Collection
-module Xpath = Toss_store.Xpath
 module Tree = Toss_xml.Tree
 module Doc = Tree.Doc
-module Metrics = Toss_obs.Metrics
 module Span = Toss_obs.Span
 module Event = Toss_obs.Event
 module Names = Toss_obs.Names
-
-type scan = { scan_label : int; xpath : Xpath.t; est_rows : int option }
 
 type side = Single | Left | Right
 
@@ -24,10 +19,6 @@ type embed_spec = {
 }
 
 type node =
-  | Label_scan of scan
-  | Candidate_filter of { side : side; scans : node list }
-  | Doc_prune of { required : int list; input : node }
-  | Embed of { spec : embed_spec; input : node }
   | Nested_loop_pair of {
       cross_condition : Condition.t;
       left : node;
@@ -53,23 +44,6 @@ type node =
 
 type t = { mode : Rewrite.mode; root : node }
 
-let scan_of = function
-  | Label_scan s -> s
-  | _ -> invalid_arg "Plan: Candidate_filter children must be Label_scan nodes"
-
-let rec node_scans = function
-  | Label_scan s -> [ s ]
-  | Candidate_filter { scans; _ } -> List.concat_map node_scans scans
-  | Doc_prune { input; _ } | Embed { input; _ } | Dedup input -> node_scans input
-  | Nested_loop_pair { left; right; _ }
-  | Hash_pair { left; right; _ }
-  | Sim_pair { left; right; _ } ->
-      node_scans left @ node_scans right
-  | Compiled_match _ -> []
-
-let scans t = node_scans t.root
-let label_queries t = List.map (fun s -> (s.scan_label, s.xpath)) (scans t)
-
 (* ------------------------- rendering ------------------------------ *)
 
 let side_suffix = function
@@ -93,22 +67,6 @@ let to_string t =
       fmt
   in
   let rec render indent = function
-    | Label_scan s ->
-        line indent "scan #%d: %s%s" s.scan_label (Xpath.to_string s.xpath)
-          (match s.est_rows with
-          | None -> ""
-          | Some n -> Printf.sprintf "  (~%d rows)" n)
-    | Candidate_filter { side; scans } ->
-        line indent "candidate-filter%s" (side_suffix side);
-        List.iter (render (indent + 2)) scans
-    | Doc_prune { required; input } ->
-        line indent "doc-prune labels=[%s]" (labels_str required);
-        render (indent + 2) input
-    | Embed { spec; input } ->
-        line indent "embed%s sl=[%s]%s" (side_suffix spec.side)
-          (labels_str spec.sub_sl)
-          (if spec.pin_root then " pin-root" else "");
-        render (indent + 2) input
     | Nested_loop_pair { cross_condition; left; right } ->
         line indent "nested-loop-pair on %s"
           (Format.asprintf "%a" Condition.pp cross_condition);
@@ -161,26 +119,21 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 type exec_stats = { n_candidates : int; n_embeddings : int }
 
-let m_pruned = Metrics.histogram "plan.docs.pruned"
-
 (* Deliberate sabotage for the differential harness (lib/check): each
    variant disables one invariant the operators rely on, so `toss check
    --inject-fault` can prove the oracle actually detects a broken
-   interpreter. Never set outside tests. *)
+   engine. Only the harness passes anything but [No_fault]. *)
 type fault =
   | No_fault
   | Hash_no_recheck
-  | Prune_first_only
   | No_dedup
   | Compile_skip_descendant_edge
   | Simjoin_prefix_too_short
   | Simjoin_no_recheck
 
-let fault = ref No_fault
-
 (* Set semantics preserving first-occurrence (document) order. *)
-let dedup trees =
-  if !fault = No_dedup then trees
+let dedup ~fault trees =
+  if fault = No_dedup then trees
   else
     let seen = Hashtbl.create 64 in
     List.filter
@@ -220,89 +173,25 @@ let key_of env terms =
   in
   go [] terms
 
-(* Internal value flowing between operators during interpretation. *)
+(* Internal value flowing between operators. *)
 type value =
-  | Docs of side * Collection.doc_id list
   | Bindings of embed_spec * (Doc.t * (int * Doc.node) list) list
   | Trees of Tree.t list
 
-let expect_docs = function
-  | Docs (side, ids) -> (side, ids)
-  | _ -> invalid_arg "Plan.run: operator expects a document stream"
-
 let expect_bindings = function
   | Bindings (spec, bs) -> (spec, bs)
-  | _ -> invalid_arg "Plan.run: pairing expects embedded bindings"
-
-let rec candidate_filters = function
-  | Candidate_filter { side; scans } -> [ (side, List.map scan_of scans) ]
-  | Label_scan _ | Compiled_match _ -> []
-  | Doc_prune { input; _ } | Embed { input; _ } | Dedup input ->
-      candidate_filters input
-  | Nested_loop_pair { left; right; _ }
-  | Hash_pair { left; right; _ }
-  | Sim_pair { left; right; _ } ->
-      candidate_filters left @ candidate_filters right
-
-(* Phase ii: run every scan of one side, in order, each in its own
-   [xpath] span (annotated by the store with rows / index hit counts)
-   with an [Xpath_exec] event reusing the span's measured elapsed. *)
-let fetch_side ~check ~use_index coll scans =
-  let table : (int * int, Doc.node list) Hashtbl.t = Hashtbl.create 64 in
-  let total = ref 0 in
-  List.iter
-    (fun s ->
-      check ();
-      let hits, sp =
-        Span.timed
-          ~meta:[ ("label", string_of_int s.scan_label) ]
-          Names.xpath
-          (fun () -> Collection.Snapshot.eval ~use_index coll s.xpath)
-      in
-      (if Event.active () then
-         Event.emit Event.Xpath_exec
-           ~payload:
-             [
-               ("label", Event.Int s.scan_label);
-               ("xpath", Event.Str (Xpath.to_string s.xpath));
-               ("rows", Event.Int (List.length hits));
-               ("elapsed_s", Event.Float sp.Span.elapsed_s);
-             ]);
-      List.iter
-        (fun (doc_id, node) ->
-          incr total;
-          let key = (doc_id, s.scan_label) in
-          Hashtbl.replace table key
-            (node :: Option.value ~default:[] (Hashtbl.find_opt table key)))
-        hits)
-    scans;
-  (table, !total)
+  | _ -> invalid_arg "Plan.run: pairing expects matched bindings"
 
 let side_name = function Single -> "single" | Left -> "left" | Right -> "right"
 
-let run ?(check = ignore) ?(use_index = true) ~eval ~coll_of plan =
-  (* Phase ii: all label scans, one [execute] span. *)
-  let fetched =
-    Span.with_ Names.execute (fun () ->
-        List.map
-          (fun (side, scans) ->
-            (side, fetch_side ~check ~use_index (coll_of side) scans))
-          (candidate_filters plan.root))
-  in
-  (* Scans report fetched candidate nodes; compiled matchers report
-     arena nodes visited — both feed the same funnel statistic. *)
-  let n_candidates =
-    ref (List.fold_left (fun acc (_, (_, n)) -> acc + n) 0 fetched)
-  in
-  let lookup side doc_id label =
-    match List.assoc_opt side fetched with
-    | None -> Some []
-    | Some (table, _) ->
-        Some
-          (List.rev
-             (Option.value ~default:[] (Hashtbl.find_opt table (doc_id, label))))
-  in
-  (* Phase iii: prune, embed, pair, dedup — one [assemble] span. *)
+let run ?(check = ignore) ?(fault = No_fault) ~eval ~coll_of plan =
+  (* Phase ii, the paper's store-query execution, has no work left: the
+     compiled matcher reads the snapshot's documents directly during
+     assembly. The empty span keeps the three-phase view total. *)
+  Span.with_ Names.execute ignore;
+  (* Arena nodes visited by the compiled matchers. *)
+  let n_candidates = ref 0 in
+  (* Phase iii: match, pair, dedup — one [assemble] span. *)
   let n_embeddings = ref 0 in
   let pair_tree lspec rspec (ldoc, lbind) (rdoc, rbind) =
     Tree.element Algebra.prod_root_tag
@@ -320,120 +209,6 @@ let run ?(check = ignore) ?(use_index = true) ~eval ~coll_of plan =
         | None -> None)
   in
   let rec exec_node = function
-    | Label_scan _ ->
-        invalid_arg "Plan.run: Label_scan outside a Candidate_filter"
-    | Candidate_filter { side; _ } ->
-        Docs (side, Collection.Snapshot.doc_ids (coll_of side))
-    | Doc_prune { required; input } ->
-        let side, ids = expect_docs (exec_node input) in
-        let meta =
-          match side with
-          | Single -> []
-          | s -> [ ("side", side_name s) ]
-        in
-        let kept =
-          Span.with_ ~meta Names.prune (fun () ->
-              let kept =
-                List.filter
-                  (fun doc_id ->
-                    List.for_all
-                      (fun label ->
-                        Option.value ~default:[] (lookup side doc_id label) <> [])
-                      required)
-                  ids
-              in
-              let kept =
-                match (!fault, kept) with
-                | Prune_first_only, first :: _ :: _ -> [ first ]
-                | _ -> kept
-              in
-              Span.annotate
-                [
-                  ("docs_in", string_of_int (List.length ids));
-                  ("docs_out", string_of_int (List.length kept));
-                ];
-              Metrics.observe_int m_pruned (List.length ids - List.length kept);
-              kept)
-        in
-        Docs (side, kept)
-    | Embed { spec; input } -> (
-        let side, ids = expect_docs (exec_node input) in
-        let coll = coll_of side in
-        match spec.side with
-        | Single ->
-            (* Selection: witnesses directly, set semantics per document
-               (identical subtrees from different documents are distinct
-               results, as in TAX). *)
-            Trees
-              (List.concat_map
-                 (fun doc_id ->
-                   check ();
-                   Span.with_
-                     ~meta:[ ("doc", string_of_int doc_id) ]
-                     Names.embed
-                     (fun () ->
-                       let doc = Collection.Snapshot.doc coll doc_id in
-                       let bindings =
-                         Embedding.enumerate
-                           ~candidates:(lookup side doc_id)
-                           ~eval doc spec.sub_pattern
-                       in
-                       n_embeddings := !n_embeddings + List.length bindings;
-                       let witnesses =
-                         dedup
-                           (List.map
-                              (fun b -> Witness.of_binding doc b ~sl:spec.sub_sl)
-                              bindings)
-                       in
-                       Span.annotate
-                         [ ("witnesses", string_of_int (List.length witnesses)) ];
-                       (if Event.active () then
-                          Event.emit Event.Embed_done
-                            ~payload:
-                              [
-                                ("doc", Event.Int doc_id);
-                                ("embeddings", Event.Int (List.length bindings));
-                                ("witnesses", Event.Int (List.length witnesses));
-                              ]);
-                       witnesses))
-                 ids)
-        | Left | Right ->
-            let name = side_name spec.side in
-            let side_root = spec.sub_pattern.Pattern.root.Pattern.label in
-            Bindings
-              ( spec,
-                List.concat_map
-                  (fun doc_id ->
-                    check ();
-                    Span.with_
-                      ~meta:[ ("side", name); ("doc", string_of_int doc_id) ]
-                      Names.embed
-                      (fun () ->
-                        let doc = Collection.Snapshot.doc coll doc_id in
-                        let candidates label =
-                          let fetched = lookup side doc_id label in
-                          if spec.pin_root && label = side_root then
-                            Some
-                              (List.filter
-                                 (Int.equal (Doc.root doc))
-                                 (Option.value ~default:[] fetched))
-                          else fetched
-                        in
-                        let bindings =
-                          Embedding.enumerate ~candidates ~eval doc
-                            spec.sub_pattern
-                        in
-                        n_embeddings := !n_embeddings + List.length bindings;
-                        (if Event.active () then
-                           Event.emit Event.Embed_done
-                             ~payload:
-                               [
-                                 ("side", Event.Str name);
-                                 ("doc", Event.Int doc_id);
-                                 ("embeddings", Event.Int (List.length bindings));
-                               ]);
-                        List.map (fun b -> (doc, b)) bindings))
-                  ids ))
     | Nested_loop_pair { cross_condition; left; right } ->
         let lspec, lefts = expect_bindings (exec_node left) in
         let rspec, rights = expect_bindings (exec_node right) in
@@ -495,7 +270,7 @@ let run ?(check = ignore) ?(use_index = true) ~eval ~coll_of plan =
                          List.filter_map
                            (fun r ->
                              if
-                               !fault = Hash_no_recheck
+                               fault = Hash_no_recheck
                                || eval (pair_env l r) cross_condition
                              then Some (pair_tree lspec rspec l r)
                              else None)
@@ -522,7 +297,7 @@ let run ?(check = ignore) ?(use_index = true) ~eval ~coll_of plan =
                in
                let index =
                  Simjoin.build ~check
-                   ~drop_last_prefix_token:(!fault = Simjoin_prefix_too_short)
+                   ~drop_last_prefix_token:(fault = Simjoin_prefix_too_short)
                    scheme rvals
                in
                let n_cands = ref 0 and n_verified = ref 0 in
@@ -544,7 +319,7 @@ let run ?(check = ignore) ?(use_index = true) ~eval ~coll_of plan =
                            (fun i ->
                              let r = rarr.(i) in
                              if
-                               !fault = Simjoin_no_recheck
+                               fault = Simjoin_no_recheck
                                || eval (pair_env l r) cross_condition
                              then begin
                                incr n_verified;
@@ -565,12 +340,12 @@ let run ?(check = ignore) ?(use_index = true) ~eval ~coll_of plan =
                results))
     | Dedup input -> (
         match exec_node input with
-        | Trees ts -> Trees (dedup ts)
+        | Trees ts -> Trees (dedup ~fault ts)
         | v -> v)
     | Compiled_match { spec; matcher } -> (
         let coll = coll_of spec.side in
         let ids = Collection.Snapshot.doc_ids coll in
-        let skip_descendant = !fault = Compile_skip_descendant_edge in
+        let skip_descendant = fault = Compile_skip_descendant_edge in
         (* One [match] span per document; [check] fires inside the
            matcher's arena loop (once per node), so a deadline unwinds a
            compiled match mid-arena. *)
@@ -600,7 +375,7 @@ let run ?(check = ignore) ?(use_index = true) ~eval ~coll_of plan =
                      match_doc ~meta:[ ("doc", string_of_int doc_id) ] doc_id
                    in
                    let witnesses =
-                     dedup
+                     dedup ~fault
                        (List.map
                           (fun b -> Witness.of_binding doc b ~sl:spec.sub_sl)
                           bindings)

@@ -1,22 +1,18 @@
 (** Logical query plans and their physical operators.
 
     The planner ({!Planner}) compiles a pattern-tree query into this IR;
-    {!run} interprets it. Splitting the two keeps the executor's
+    {!run} executes it. Splitting the two keeps the executor's
     three-phase contract — the plan is built during the [rewrite] phase,
-    and {!run} produces exactly one [execute] span (all label scans) and
-    one [assemble] span (pruning, embedding, pairing, deduplication), so
-    {!Executor.stats.phases} remains a faithful view over the trace.
+    and {!run} produces exactly one [execute] span (empty: the matcher
+    sends no store queries) and one [assemble] span (matching, pairing,
+    deduplication), so {!Executor.stats.phases} remains a faithful view
+    over the trace.
 
     A plan is a small operator tree:
 
-    - [Label_scan] — one XPath query sent to the store for one pattern
-      label, carrying the planner's cardinality estimate;
-    - [Candidate_filter] — the set of scans feeding one side's
-      candidate tables, in execution order;
-    - [Doc_prune] — drop documents that lack candidates for a required
-      label (an embedding needs every label, so such documents cannot
-      contribute results);
-    - [Embed] — enumerate pattern embeddings per surviving document;
+    - [Compiled_match] — one side's pattern, compiled once ({!Compile})
+      and matched against every document of the side's snapshot in one
+      arena pass;
     - [Nested_loop_pair] / [Hash_pair] / [Sim_pair] — combine the two
       sides of a join, checking the cross condition on every pair, only
       on hash-partitioned key matches, or only on signature-overlap
@@ -26,17 +22,8 @@
     Plans are pure data: rendering one ({!pp}) performs no store access,
     which is what the CLI's [--explain] shows before running anything. *)
 
-type scan = {
-  scan_label : int;  (** the pattern label this scan fetches *)
-  xpath : Toss_store.Xpath.t;
-  est_rows : int option;
-      (** planner estimate from {!Toss_store.Collection.estimate_rows};
-          [None] when planning with [optimize:false] (no statistics are
-          consulted) *)
-}
-
 type side = Single | Left | Right
-(** Which candidate table an operator reads: [Single] for selections,
+(** Which snapshot an operator reads: [Single] for selections,
     [Left]/[Right] for the two collections of a join. *)
 
 type embed_spec = {
@@ -49,11 +36,6 @@ type embed_spec = {
 }
 
 type node =
-  | Label_scan of scan
-  | Candidate_filter of { side : side; scans : node list }
-      (** [scans] are [Label_scan] nodes, in execution order *)
-  | Doc_prune of { required : int list; input : node }
-  | Embed of { spec : embed_spec; input : node }
   | Nested_loop_pair of {
       cross_condition : Toss_tax.Condition.t;
       left : node;
@@ -90,23 +72,16 @@ type node =
           so the operator is an optimization, never a semantic change *)
   | Dedup of node
   | Compiled_match of { spec : embed_spec; matcher : Compile.t }
-      (** the compiled single-pass matcher ({!Compile}): no scans, no
-          pruning — every document of the side's snapshot is matched in
-          one arena pass, predicates evaluated inline. Produces witness
-          trees directly for [Single] sides and bindings for join
-          sides, exactly as [Embed] does, so the pairing operators are
-          shared between the compiled and interpreted pipelines. *)
+      (** the compiled single-pass matcher ({!Compile}): every document
+          of the side's snapshot is matched in one arena pass,
+          predicates evaluated inline. Produces witness trees directly
+          for [Single] sides and bindings for join sides, which feed the
+          pairing operators. *)
 
 type t = { mode : Rewrite.mode; root : node }
 
-val scans : t -> scan list
-(** Every [Label_scan] in the plan, left to right (execution order). *)
-
-val label_queries : t -> (int * Toss_store.Xpath.t) list
-(** [scans] as (label, query) pairs — what reaches the store. *)
-
 val pp : Format.formatter -> t -> unit
-(** Renders the operator tree with estimated cardinalities — the CLI's
+(** Renders the operator tree, compiled states included — the CLI's
     [--explain]. Deterministic; performs no store access. *)
 
 val to_string : t -> string
@@ -117,20 +92,18 @@ type exec_stats = { n_candidates : int; n_embeddings : int }
 
 (** {1 Fault injection (testing only)}
 
-    Deliberate sabotage hooks for the differential harness
-    ([Toss_check]): each variant breaks one invariant the interpreter
-    relies on, so [toss check --inject-fault] can demonstrate that the
-    naive oracle catches a broken optimizer and that the shrinker
-    minimizes the witness. Production code must leave this at
-    {!No_fault}. *)
+    Deliberate sabotage for the differential harness ([Toss_check]):
+    each variant breaks one invariant the operators rely on, so
+    [toss check --inject-fault] can demonstrate that the naive oracle
+    catches a broken engine and that the shrinker minimizes the
+    witness. Only the harness passes a fault to {!run}; the executor
+    always runs with {!No_fault}. *)
 
 type fault =
   | No_fault
   | Hash_no_recheck
       (** [Hash_pair] accepts every key match without re-checking the
           full cross condition *)
-  | Prune_first_only
-      (** [Doc_prune] keeps only the first surviving document *)
   | No_dedup  (** both deduplication sites pass duplicates through *)
   | Compile_skip_descendant_edge
       (** [Compiled_match] stops bubbling ancestor-descendant matches up
@@ -145,35 +118,26 @@ type fault =
       (** [Sim_pair] emits every overlap candidate without re-checking
           the cross condition — false results *)
 
-val fault : fault ref
-
 val run :
   ?check:(unit -> unit) ->
-  ?use_index:bool ->
+  ?fault:fault ->
   eval:(Toss_tax.Condition.env -> Toss_tax.Condition.t -> bool) ->
   coll_of:(side -> Toss_store.Collection.Snapshot.t) ->
   t ->
   Toss_xml.Tree.t list * exec_stats
-(** Interprets the plan against pinned collection snapshots — the
-    interpreter performs no locking of its own and reads only immutable
-    version state, so concurrent runs on separate domains are safe and a
-    run's results are unaffected by writers advancing the collections
-    mid-flight. One [execute] span containing an [xpath] span
-    (and [Xpath_exec] event) per scan, then one [assemble] span
-    containing the [prune], per-document [embed] and (for joins) [pair]
-    spans; compiled plans have no scans (the [execute] span is empty)
-    and one per-document [match] span under [assemble] instead of
-    [prune]/[embed]. Must be called inside an executor root span for
-    the trace to be observable; works standalone too (spans become
-    no-ops).
+(** Executes the plan against pinned collection snapshots — it performs
+    no locking of its own and reads only immutable version state, so
+    concurrent runs on separate domains are safe and a run's results are
+    unaffected by writers advancing the collections mid-flight. One
+    empty [execute] span, then one [assemble] span containing a
+    per-document [match] span and (for joins) a [pair] span. Must be
+    called inside an executor root span for the trace to be observable;
+    works standalone too (spans become no-ops).
 
-    [check] is a cooperative cancellation checkpoint, called before
-    every label scan, every per-document embedding enumeration, and
-    every outer pairing iteration — the interpreter's unit-of-work
-    boundaries — and, for compiled plans, once per arena node inside
-    the matcher's loop. It does nothing by default; the query server passes one
+    [check] is a cooperative cancellation checkpoint, called once per
+    arena node inside the matcher's loop and once per outer pairing
+    iteration. It does nothing by default; the query server passes one
     that raises once the request's deadline has passed, which unwinds
-    the interpreter mid-plan (no partial results escape: the exception
-    propagates through {!Executor}). Checkpoint granularity bounds how
-    long a runaway query can overstay its deadline by the cost of one
-    scan or one document's embedding enumeration. *)
+    the run mid-plan (no partial results escape: the exception
+    propagates through {!Executor}). [fault] (default {!No_fault}) is
+    the harness's sabotage hook. *)

@@ -4,62 +4,17 @@ module Collection = Toss_store.Collection
 module Metrics = Toss_obs.Metrics
 
 let m_plans = Metrics.counter "planner.plans"
-let m_compiled = Metrics.counter "planner.plans.compiled"
 let m_hash_joins = Metrics.counter "planner.joins.hash"
 let m_nested_joins = Metrics.counter "planner.joins.nested_loop"
 let m_sim_joins = Metrics.counter "planner.joins.sim"
 
-(* Scans for one side's label queries: estimated through the collection
-   statistics and ordered most-selective-first under [optimize], left in
-   rewrite (pattern preorder) order otherwise. The sort is stable, so
-   equally-selective scans keep their rewrite order. *)
-let scans_of ~optimize ~use_index coll queries =
-  let scans =
-    List.map
-      (fun (label, xpath) ->
-        let est_rows =
-          if optimize then
-            Some (Collection.Snapshot.estimate_rows ~value_index:use_index coll xpath)
-          else None
-        in
-        { Plan.scan_label = label; xpath; est_rows })
-      queries
-  in
-  if optimize then
-    List.stable_sort
-      (fun a b ->
-        compare
-          (Option.value ~default:max_int a.Plan.est_rows)
-          (Option.value ~default:max_int b.Plan.est_rows))
-      scans
-  else scans
-
-let filter_of ~optimize ~use_index coll ~side ~required queries =
-  let scans = scans_of ~optimize ~use_index coll queries in
-  let filter =
-    Plan.Candidate_filter
-      { side; scans = List.map (fun s -> Plan.Label_scan s) scans }
-  in
-  if optimize then Plan.Doc_prune { required; input = filter } else filter
-
-let plan_select ?(mode = Rewrite.Toss) ?(use_index = true) ?max_expansion
-    ?(optimize = true) ?(compile = true) seo coll ~pattern ~sl =
+let plan_select ?(mode = Rewrite.Toss) seo _coll ~pattern ~sl =
   Metrics.incr m_plans;
   let spec =
     { Plan.side = Plan.Single; sub_pattern = pattern; sub_sl = sl; pin_root = false }
   in
-  if compile then begin
-    Metrics.incr m_compiled;
-    let matcher = Compile.build ~mode seo pattern in
-    { Plan.mode; root = Plan.Compiled_match { spec; matcher } }
-  end
-  else
-    let queries = Rewrite.label_queries ~mode ?max_expansion seo pattern in
-    let input =
-      filter_of ~optimize ~use_index coll ~side:Plan.Single
-        ~required:(Pattern.labels pattern) queries
-    in
-    { Plan.mode; root = Plan.Embed { spec; input } }
+  let matcher = Compile.build ~mode seo pattern in
+  { Plan.mode; root = Plan.Compiled_match { spec; matcher } }
 
 (* The sub-pattern rooted at a child of the join pattern's root, with the
    original condition restricted to the conjuncts local to that side. *)
@@ -151,11 +106,9 @@ let sim_atom ~mode ~left_labels ~right_labels seo cross_condition =
    build side is what the tiny-build-fallback unit test pins. *)
 let min_simjoin_build_docs = 2
 
-let plan_join ?(mode = Rewrite.Toss) ?(use_index = true) ?max_expansion
-    ?(optimize = true) ?(compile = true) ?(simjoin = true) seo left_coll
-    right_coll ~pattern ~sl =
+let plan_join ?(mode = Rewrite.Toss) ?(optimize = true) ?(simjoin = true) seo
+    _left_coll right_coll ~pattern ~sl =
   Metrics.incr m_plans;
-  if compile then Metrics.incr m_compiled;
   let root = pattern.Pattern.root in
   let (left_kind, left_child), (right_kind, right_child) =
     match root.Pattern.children with
@@ -164,7 +117,7 @@ let plan_join ?(mode = Rewrite.Toss) ?(use_index = true) ?max_expansion
   in
   let left_pattern, left_labels = side_pattern pattern left_child in
   let right_pattern, right_labels = side_pattern pattern right_child in
-  let branch side coll kind sub_pattern labels =
+  let branch side kind sub_pattern labels =
     let spec =
       {
         Plan.side;
@@ -173,18 +126,10 @@ let plan_join ?(mode = Rewrite.Toss) ?(use_index = true) ?max_expansion
         pin_root = kind = Pattern.Pc;
       }
     in
-    if compile then
-      Plan.Compiled_match { spec; matcher = Compile.build ~mode seo sub_pattern }
-    else
-      let queries = Rewrite.label_queries ~mode ?max_expansion seo sub_pattern in
-      let input =
-        filter_of ~optimize ~use_index coll ~side
-          ~required:(Pattern.labels sub_pattern) queries
-      in
-      Plan.Embed { spec; input }
+    Plan.Compiled_match { spec; matcher = Compile.build ~mode seo sub_pattern }
   in
-  let left = branch Plan.Left left_coll left_kind left_pattern left_labels in
-  let right = branch Plan.Right right_coll right_kind right_pattern right_labels in
+  let left = branch Plan.Left left_kind left_pattern left_labels in
+  let right = branch Plan.Right right_kind right_pattern right_labels in
   let cross_condition = cross_condition_of pattern in
   let keys =
     if optimize then hash_keys ~left_labels ~right_labels cross_condition

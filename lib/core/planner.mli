@@ -1,67 +1,36 @@
-(** Cost-aware compilation of pattern trees into {!Plan} operator trees.
+(** Compilation of pattern-tree queries into {!Plan} operator trees.
 
-    The planner runs during the executor's [rewrite] phase: it rewrites
-    the pattern into per-label XPath queries (through {!Rewrite}), then
-    uses the pinned snapshot's per-term statistics
-    ({!Toss_store.Collection.Snapshot.estimate_rows}) to shape the
-    physical plan. Planning reads only the immutable snapshot (statistics
-    are version-local), so it is safe from any domain and consistent with
-    the execution that interprets the plan against the same snapshot:
+    The planner runs during the executor's [rewrite] phase. Every
+    matching side becomes one {!Plan.Compiled_match} leaf: the pattern is
+    compiled once ({!Compile.build}), its SEO-expanded node predicates
+    resolved up front, and every document of the snapshot is matched in
+    one arena pass. Planning reads only the immutable snapshot, so it is
+    safe from any domain and consistent with the execution that runs the
+    plan against the same snapshot.
 
-    - label scans are ordered most-selective-first, so the candidate
-      tables that prune hardest are populated cheapest-first;
-    - a [Doc_prune] operator drops documents lacking candidates for any
-      required label before embedding (an embedding binds every label,
-      so those documents cannot contribute);
-    - join cross-conditions whose top-level conjuncts include an
-      equality split across the two sides are lowered to [Hash_pair]
-      (hash-partitioned pairing with a full recheck on key matches);
-      otherwise a top-level [~]/[isa] conjunct split across the sides is
-      lowered to [Sim_pair] (signature prefix filtering with an adaptive
-      overlap constraint — see {!Simjoin} — plus the same full recheck)
-      whenever the build side's statistics show at least two documents;
-      anything else falls back to [Nested_loop_pair].
-
-    With [optimize:false] the same IR is produced but naively — rewrite
-    order, no statistics, no pruning, nested-loop pairing — which is the
-    CLI's [--no-planner]: the legacy execution strategy expressed in the
-    new engine, used as the equivalence baseline.
-
-    With [compile:true] (the default) the scan/prune/embed pipeline is
-    replaced wholesale by a single {!Plan.Compiled_match} leaf per side:
-    the pattern is compiled once ({!Compile.build}) and every document
-    of the snapshot is matched in one arena pass, with the
-    SEO-expanded predicates evaluated inline instead of being lowered
-    to XPath scans. [compile:false] (the CLI's [--no-compile]) keeps
-    the interpreted pipeline — the in-engine reference the differential
-    harness compares against. [use_index], [max_expansion] and
-    [optimize]'s scan shaping only affect the interpreted pipeline;
-    under a join, [optimize] still picks the pairing strategy either
-    way. *)
+    For joins the planner also picks the pairing operator from what it
+    can observe: cross-conditions whose top-level conjuncts include an
+    equality split across the two sides are lowered to [Hash_pair]
+    (hash-partitioned pairing with a full recheck on key matches);
+    otherwise a top-level [~]/[isa] conjunct split across the sides is
+    lowered to [Sim_pair] (signature prefix filtering with an adaptive
+    overlap constraint — see {!Simjoin} — plus the same full recheck)
+    whenever the build side holds at least two documents; anything else
+    falls back to [Nested_loop_pair]. *)
 
 val plan_select :
   ?mode:Rewrite.mode ->
-  ?use_index:bool ->
-  ?max_expansion:int ->
-  ?optimize:bool ->
-  ?compile:bool ->
   Seo.t ->
   Toss_store.Collection.Snapshot.t ->
   pattern:Toss_tax.Pattern.t ->
   sl:int list ->
   Plan.t
-(** The plan for [σ_{P,SL}] over the snapshot. [use_index] (default
-    true) gates the per-value statistics refinement so planning never
-    forces an index build the execution itself would not perform;
-    [compile] (default true) selects the compiled matcher over the
-    interpreted scan/prune/embed pipeline. *)
+(** The plan for [σ_{P,SL}] over the snapshot: a single
+    {!Plan.Compiled_match} leaf. *)
 
 val plan_join :
   ?mode:Rewrite.mode ->
-  ?use_index:bool ->
-  ?max_expansion:int ->
   ?optimize:bool ->
-  ?compile:bool ->
   ?simjoin:bool ->
   Seo.t ->
   Toss_store.Collection.Snapshot.t ->
@@ -71,9 +40,11 @@ val plan_join :
   Plan.t
 (** The plan for a condition join. The pattern's root must have exactly
     two children (the left and right sub-patterns); raises
-    [Invalid_argument] otherwise, as {!Executor.join} always has. Under
-    [compile] each side becomes its own {!Plan.Compiled_match} leaf
-    feeding the shared pairing operators. [simjoin] (default true; the
-    CLI's [--no-simjoin] when off) gates the [Sim_pair] lowering only —
-    with it off, similarity cross-conditions keep the nested-loop
-    pairing, the escape hatch and differential reference. *)
+    [Invalid_argument] otherwise, as {!Executor.join} always has. Each
+    side becomes its own {!Plan.Compiled_match} leaf feeding the pairing
+    operator. [optimize:false] (the CLI's [--no-planner]) always pairs
+    by nested loop, the reference the pairing operators are checked
+    against. [simjoin] (default true; the CLI's [--no-simjoin] when off)
+    gates the [Sim_pair] lowering only — with it off, similarity
+    cross-conditions keep the nested-loop pairing, the escape hatch and
+    differential reference. *)

@@ -1,24 +1,11 @@
-module Pattern = Toss_tax.Pattern
 module Condition = Toss_tax.Condition
-module Xpath = Toss_store.Xpath
 module Metrics = Toss_obs.Metrics
 
 type mode = Tax | Toss
 
-let m_rewrites = Metrics.counter "rewrite.patterns"
-let m_queries = Metrics.counter "rewrite.label_queries"
-let m_degraded = Metrics.counter "rewrite.degraded"
-
-(* Cache-ability: a label query built from purely structural atoms (tags,
-   content equality, containment) is valid under any SEO, so a rewrite
-   cache could keep it across ontology rebuilds; one that consulted the
-   SEO must be invalidated with it. *)
-let m_seo_dependent = Metrics.counter "rewrite.queries.seo_dependent"
-let m_cacheable = Metrics.counter "rewrite.queries.seo_independent"
-
-(* Memoized SEO expansions, shared across label queries: one pattern
-   typically consults the same constant several times (tag options,
-   content predicates, both sides of a join, the explainer), and the
+(* Memoized SEO expansions, shared across compiled predicates: one
+   pattern typically consults the same constant several times (several
+   labels, both sides of a join, the explainer), and the
    expansions walk the ontology hierarchies each time. The cache is keyed
    on the physical SEO value — a rebuilt ontology is a new value and
    invalidates it wholesale — and holds a strong reference to the last
@@ -64,185 +51,9 @@ let part_below seo s = cached_expansion seo ~op:"part_of" ~constant:s Seo.part_b
 
 (* [below] (and its mirror [above]) has a second leg besides the isa
    hierarchy: a value is below a primitive type name whenever its
-   inferred type matches ("1999" below "year"). An isa-expansion
-   pushdown would drop those candidates, so [below] atoms whose constant
-   names a primitive type are never pushed. *)
+   inferred type matches ("1999" below "year"), so such atoms have no
+   finite expansion. *)
 let is_type_name s = Option.is_some (Toss_xml.Value_type.of_name s)
-
-(* Both evaluators compare [Eq] numerically when the two values parse as
-   numbers ("1999.0" = "1999"), so an exact-text [Content_eq] pushdown is
-   only sound for constants that are not numbers. *)
-let pushable_eq_constant s = Option.is_none (float_of_string_opt s)
-
-let atom_consults_seo = function
-  | Condition.Sim _ | Condition.Isa _ | Condition.Below _ | Condition.Above _
-  | Condition.Part_of _ | Condition.Instance_of _ | Condition.Subtype_of _ ->
-      true
-  | _ -> false
-
-(* Tag alternatives for one pattern node: [None] = unconstrained. *)
-let tag_options ~mode ~max_expansion seo atoms =
-  let constrain current options =
-    match current with
-    | None -> Some options
-    | Some existing -> Some (List.filter (fun t -> List.mem t options) existing)
-  in
-  List.fold_left
-    (fun acc atom ->
-      match (atom, mode) with
-      | Condition.Cmp (Condition.Tag _, Condition.Eq, Condition.Str s), _
-      | Condition.Cmp (Condition.Str s, Condition.Eq, Condition.Tag _), _
-        when pushable_eq_constant s ->
-          constrain acc [ s ]
-      | Condition.Isa (Condition.Tag _, Condition.Str s), Toss ->
-          let below = isa_below seo s in
-          if List.length below <= max_expansion then constrain acc below else acc
-      | Condition.Below (Condition.Tag _, Condition.Str s), Toss
-        when not (is_type_name s) ->
-          let below = isa_below seo s in
-          if List.length below <= max_expansion then constrain acc below else acc
-      | Condition.Part_of (Condition.Tag _, Condition.Str s), Toss ->
-          let below = part_below seo s in
-          if List.length below <= max_expansion then constrain acc below else acc
-      | _ -> acc)
-    None atoms
-
-(* Content predicates for one pattern node. *)
-let content_predicates ~mode ~max_expansion seo atoms =
-  let eq_disjunction values =
-    match values with
-    | [] -> None
-    | v :: vs ->
-        Some
-          (List.fold_left
-             (fun p v -> Xpath.Or (p, Xpath.Content_eq v))
-             (Xpath.Content_eq v) vs)
-  in
-  List.filter_map
-    (fun atom ->
-      match (atom, mode) with
-      | Condition.Cmp (Condition.Content _, Condition.Eq, Condition.Str s), _
-      | Condition.Cmp (Condition.Str s, Condition.Eq, Condition.Content _), _
-        when pushable_eq_constant s ->
-          Some (Xpath.Content_eq s)
-      | Condition.Contains (Condition.Content _, s), _ ->
-          Some (Xpath.Content_contains s)
-      | Condition.Sim (Condition.Content _, Condition.Str s), Tax
-      | Condition.Sim (Condition.Str s, Condition.Content _), Tax ->
-          Some (Xpath.Content_eq s)
-      | Condition.Sim (Condition.Content _, Condition.Str s), Toss
-      | Condition.Sim (Condition.Str s, Condition.Content _), Toss ->
-          (* Only push the expansion when the constant is an ontology term;
-             otherwise the evaluator's direct-distance fallback must see
-             unrestricted candidates. *)
-          if Seo.knows_term seo s then begin
-            let terms = similar_terms seo s in
-            if List.length terms <= max_expansion then eq_disjunction terms else None
-          end
-          else None
-      | Condition.Isa (Condition.Content _, Condition.Str s), Tax
-      | Condition.Below (Condition.Content _, Condition.Str s), Tax ->
-          Some (Xpath.Content_contains s)
-      | Condition.Isa (Condition.Content _, Condition.Str s), Toss ->
-          let terms = isa_below seo s in
-          if List.length terms <= max_expansion then eq_disjunction terms else None
-      | Condition.Below (Condition.Content _, Condition.Str s), Toss
-        when not (is_type_name s) ->
-          let terms = isa_below seo s in
-          if List.length terms <= max_expansion then eq_disjunction terms else None
-      | Condition.Part_of (Condition.Content _, Condition.Str s), Toss ->
-          let terms = part_below seo s in
-          if List.length terms <= max_expansion then eq_disjunction terms else None
-      | _ -> None)
-    atoms
-
-(* The chain of pattern nodes from the root down to [label], with the edge
-   kinds along the way (one fewer than the nodes). *)
-let chain_to (pattern : Pattern.t) label =
-  let rec search (node : Pattern.node) =
-    if node.Pattern.label = label then Some ([ node ], [])
-    else
-      List.find_map
-        (fun (kind, child) ->
-          Option.map
-            (fun (nodes, kinds) -> (node :: nodes, kind :: kinds))
-            (search child))
-        node.Pattern.children
-  in
-  search pattern.Pattern.root
-
-let label_queries ?(mode = Toss) ?(max_expansion = 64) seo (pattern : Pattern.t) =
-  Metrics.incr m_rewrites;
-  let condition = pattern.Pattern.condition in
-  let step_of (node : Pattern.node) axis =
-    let atoms = Condition.local_atoms condition node.Pattern.label in
-    let tags = tag_options ~mode ~max_expansion seo atoms in
-    let predicates = content_predicates ~mode ~max_expansion seo atoms in
-    let tags =
-      match tags with
-      | Some ts when List.length ts <= max_expansion && ts <> [] -> Some ts
-      | Some [] -> Some []
-      | _ -> None
-    in
-    (axis, tags, predicates)
-  in
-  let query_for label =
-    Metrics.incr m_queries;
-    let note_cacheability nodes =
-      let consults_seo =
-        mode = Toss
-        && List.exists
-             (fun (n : Pattern.node) ->
-               List.exists atom_consults_seo
-                 (Condition.local_atoms condition n.Pattern.label))
-             nodes
-      in
-      Metrics.incr (if consults_seo then m_seo_dependent else m_cacheable)
-    in
-    let note_fanout n =
-      Metrics.observe_h ~labels:[ ("label", string_of_int label) ] "rewrite.fanout"
-        (float_of_int n)
-    in
-    match chain_to pattern label with
-    | None ->
-        note_cacheability [];
-        note_fanout 1;
-        Xpath.path [ Xpath.any ~axis:Xpath.Descendant () ]
-    | Some (nodes, kinds) ->
-        note_cacheability nodes;
-        (* First node uses the descendant axis (a pattern can embed
-           anywhere); subsequent axes follow the edge kinds. *)
-        let axes =
-          Xpath.Descendant
-          :: List.map
-               (fun kind ->
-                 match kind with Pattern.Pc -> Xpath.Child | Pattern.Ad -> Xpath.Descendant)
-               kinds
-        in
-        let steps = List.map2 step_of nodes axes in
-        (* Expand tag alternatives into a union of paths, capped. *)
-        let paths =
-          List.fold_left
-            (fun paths (axis, tags, predicates) ->
-              let options =
-                match tags with
-                | None -> [ Xpath.any ~axis ~predicates () ]
-                | Some ts -> List.map (fun tg -> Xpath.step ~axis ~predicates tg) ts
-              in
-              List.concat_map (fun path -> List.map (fun st -> st :: path) options) paths)
-            [ [] ] steps
-        in
-        let paths = List.map List.rev paths in
-        note_fanout (List.length paths);
-        if List.length paths > max_expansion then begin
-          (* Too many alternatives: drop the name tests, keep structure. *)
-          Metrics.incr m_degraded;
-          Xpath.path
-            (List.map (fun (axis, _, predicates) -> Xpath.any ~axis ~predicates ()) steps)
-        end
-        else paths
-  in
-  List.map (fun label -> (label, query_for label)) (Pattern.labels pattern)
 
 (* ---------------------- compiled predicates ----------------------- *)
 
@@ -279,9 +90,8 @@ let atom_str atom = Format.asprintf "%a" Condition.pp atom
 (* One node-local atom compiled to a closure. The fast paths replace the
    evaluator's hierarchy walks with a membership test against the
    memoized expansion set; each is used only where it is {e exactly}
-   equivalent to the evaluator (the same soundness analysis as the XPath
-   pushdowns, but without the one-sided-implication slack: a compiled
-   predicate is the final word for its atom, not a prefilter):
+   equivalent to the evaluator (a compiled predicate is the final word
+   for its atom, not a prefilter):
 
    - [~] against a constant the SEO knows: {!Seo.similar} is
      authoritative for known terms, so membership in [similar_terms] is
@@ -292,9 +102,8 @@ let atom_str atom = Format.asprintf "%a" Condition.pp atom
      {!Seo.isa_below}'s own fallback).
    - [below]/[instance_of]/reversed [above]: the isa leg is the
      below-set, the type-inference leg ("1999" below "year") is kept as
-     an explicit disjunct — the reason these atoms can never be pushed
-     into XPath is precisely that this leg has no finite expansion, but
-     a closure can just evaluate it.
+     an explicit disjunct: this leg has no finite expansion, but a
+     closure can just evaluate it.
    - [subtype_of]: both sides must be known terms, so an unknown
      constant compiles to [false]; a known one to set membership (every
      member of a below-set is a known term).
@@ -308,8 +117,7 @@ let atom_str atom = Format.asprintf "%a" Condition.pp atom
 
    Everything else — order comparisons, containment, unknown-term [~],
    reversed operators, node-to-node atoms like [#1.tag ~ #1.content] —
-   compiles to the mode's evaluator under a single-label environment,
-   which is the same thing the interpreter's embedding prefilter runs. *)
+   compiles to the mode's evaluator under a single-label environment. *)
 let plain_string_constant ~mode seo s =
   float_of_string_opt s = None
   &&

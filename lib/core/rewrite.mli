@@ -1,52 +1,28 @@
-(** Pattern-tree to XPath rewriting (Section 6, phase i).
+(** Pattern-tree rewriting (Section 6, phase i).
 
-    For every label of a pattern tree, builds the XPath query that fetches
-    its candidate nodes from the store: the location path follows the
-    pattern chain from the root (pc edges become [/], ad edges and the
-    root become [//]); node-local conjuncts become name tests and
-    predicates. Under {!Toss} mode, ontology and similarity conditions are
-    expanded through the SEO — a [~] condition becomes a disjunction of
-    exact tests over every co-similar term, an [isa]/[below]/[part_of]
-    condition a disjunction over the ontology's below-set — whereas
-    {!Tax} mode uses exact match for [~] and substring containment for the
-    ontology operators, exactly how the paper ran its baseline.
-
-    Rewriting is an optimization, and every pushed predicate must be
-    implied by the atom it came from (candidates a query drops are never
-    seen again): conditions that cannot be pushed into XPath (cross-label
-    atoms, disjunctions, oversized expansions) are left to the assembly
-    phase, which re-checks the full condition. Three atom families are
-    deliberately not pushed because an "obvious" pushdown would be
-    unsound — [~] over a constant the ontology does not know (the
-    evaluator's raw-distance fallback must see every candidate),
-    [below]/[above] over a primitive type name ("1999" is below "year"
-    by type inference, not by the isa hierarchy), and [=] against a
-    numeric constant (both evaluators compare numerically, so "1999.0"
-    equals "1999" while an exact-text store predicate would drop it).
-    The differential harness ([Toss_check]) pins all three. *)
+    The paper rewrites every label of a pattern tree into an XPath store
+    query. Here the same node-local conjuncts become compiled node
+    predicates ({!compile_pred}) that the single-pass matcher
+    ({!Compile}) evaluates inline. Under {!Toss} mode, ontology and
+    similarity conditions are expanded through the SEO — a [~] condition
+    becomes membership in the set of co-similar terms, an
+    [isa]/[part_of] condition membership in the ontology's below-set —
+    whereas {!Tax} mode uses exact match for [~] and substring
+    containment for the ontology operators, exactly how the paper ran
+    its baseline. *)
 
 type mode =
   | Tax  (** the paper's baseline: exact [~], substring ontology operators *)
   | Toss  (** SEO-expanded semantics *)
 
-val label_queries :
-  ?mode:mode ->
-  ?max_expansion:int ->
-  Seo.t ->
-  Toss_tax.Pattern.t ->
-  (int * Toss_store.Xpath.t) list
-(** One query per pattern label, in preorder. [max_expansion] (default 64)
-    caps the size of ontology expansions pushed into a predicate or name
-    test; larger expansions degrade to unconstrained steps. *)
-
 (** {1 Memoized SEO expansions}
 
     The raw {!Seo} expansion walks are memoized per (operator, constant)
     pair: one pattern typically consults the same constant several times
-    (tag options, content predicates, both join sides, the explainer).
+    (several labels, both join sides, the explainer).
     The cache is keyed on the physical SEO value, so rebuilding the
-    ontology invalidates it wholesale. All rewriting goes through these;
-    other layers (e.g. {!Explain}) should too. *)
+    ontology invalidates it wholesale. All predicate compilation goes
+    through these; other layers (e.g. {!Explain}) should too. *)
 
 val similar_terms : Seo.t -> string -> string list
 (** Memoized {!Seo.similar_terms}. *)
@@ -60,17 +36,19 @@ val part_below : Seo.t -> string -> string list
 (** {1 Compiled node predicates}
 
     The per-label predicate the pattern compiler ({!Compile}) evaluates
-    inline during its single arena pass — the same node-local conjuncts
-    the interpreter's embedding prefilter checks, but with every SEO
-    expansion resolved {e once} at compile time into a closure (a hash-set
-    membership test where the expansion is finite and authoritative, the
-    mode's evaluator under a single-label environment otherwise) instead
-    of being re-expanded per XPath call. Unlike the XPath pushdowns,
-    which are one-sided prefilters later re-checked, a compiled predicate
-    must be {e exactly} the atom's satisfaction relation; the unsound
-    pushdown families (unknown-term [~], type-name [below]/[above],
-    numeric [=]) therefore compile to evaluator closures rather than
-    being dropped. *)
+    inline during its single arena pass: the label's node-local
+    conjuncts, with every SEO expansion resolved {e once} at compile
+    time into a closure (a hash-set membership test where the expansion
+    is finite and authoritative, the mode's evaluator under a
+    single-label environment otherwise). A compiled predicate must be
+    {e exactly} the atom's satisfaction relation, not a prefilter. Three
+    atom families have no sound finite expansion and therefore compile
+    to evaluator closures: [~] over a constant the ontology does not
+    know (the evaluator's raw-distance fallback decides), [below]/[above]
+    over a primitive type name ("1999" is below "year" by type
+    inference, not by the isa hierarchy), and [=] against a numeric
+    constant (both evaluators compare numerically, so "1999.0" equals
+    "1999"). *)
 
 type pred
 (** The compiled node-local predicate of one pattern label. *)
@@ -80,8 +58,7 @@ val compile_pred : ?mode:mode -> Seo.t -> Toss_tax.Condition.t -> int -> pred
     top-level conjuncts of [label] (per
     {!Toss_tax.Condition.local_atoms}). Expansion sets are built through
     the memoized {!similar_terms}/{!isa_below}/{!part_below}, so a
-    pattern's compilation shares hierarchy walks with the explainer and
-    any XPath rewriting of the same constants. *)
+    pattern's compilation shares hierarchy walks with the explainer. *)
 
 val pred_test : pred -> Toss_xml.Tree.Doc.t -> Toss_xml.Tree.Doc.node -> bool
 (** Whether a node satisfies every compiled conjunct. Agrees with

@@ -81,9 +81,8 @@ val leq_part : t -> string -> string -> bool
 val part_below : t -> string -> string list
 
 val knows_term : t -> string -> bool
-(** Whether the term occurs in the (enhanced) isa hierarchy. The query
-    rewriter only pushes a [~] expansion into XPath when the constant is
-    known — for unknown constants the evaluator's direct-distance fallback
-    must see every candidate. *)
+(** Whether the term occurs in the (enhanced) isa hierarchy. A compiled
+    [~] predicate is set membership only when the constant is known — for
+    unknown constants the evaluator's direct-distance fallback decides. *)
 
 val n_terms : t -> int

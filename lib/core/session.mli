@@ -105,8 +105,8 @@ val query_at :
     state: safe to call concurrently from any domain. [check] is the
     executor's cooperative cancellation checkpoint (see
     {!Executor.select}); anything it raises propagates out of this
-    call. It is not consulted on projections, which bypass the plan
-    interpreter. *)
+    call. It is not consulted on projections, which bypass the
+    planner. *)
 
 val query :
   ?mode:Executor.mode ->

@@ -1,9 +1,9 @@
 (** The repository's one JSON implementation: a minimal reader and a
     writer sharing the same value type.
 
-    Grown out of [Toss_eval.Json_lite] (which remains as a deprecated
-    alias) when the server's wire protocol, [Explain.to_json] and the
-    bench baseline artifacts each needed the same escaping rules — kept
+    Grown out of the evaluation harness's JSON reader when the server's
+    wire protocol, [Explain.to_json] and the bench baseline artifacts
+    each needed the same escaping rules — kept
     dependency-free on purpose: the container pins the toolchain, so no
     [yojson].
 

@@ -3,7 +3,6 @@ type value = Str of string | Int of int | Float of float | Bool of bool
 type kind =
   | Query_start
   | Rewrite_done
-  | Xpath_exec
   | Embed_done
   | Query_end
   | Custom of string
@@ -11,7 +10,6 @@ type kind =
 let kind_name = function
   | Query_start -> "query_start"
   | Rewrite_done -> "rewrite_done"
-  | Xpath_exec -> "xpath_exec"
   | Embed_done -> "embed_done"
   | Query_end -> "query_end"
   | Custom name -> name

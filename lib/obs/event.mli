@@ -36,13 +36,10 @@ type value = Str of string | Int of int | Float of float | Bool of bool
     event outside the built-in vocabulary (rendered verbatim). *)
 type kind =
   | Query_start  (** executor entered; payload: [op], [mode], [collection] *)
-  | Rewrite_done  (** phase (i) finished; payload: [op], [queries] *)
-  | Xpath_exec
-      (** one label query answered by the store; payload: [label],
-          [xpath], [rows], [elapsed_s] *)
+  | Rewrite_done  (** phase (i) finished; payload: [op] *)
   | Embed_done
-      (** one document's assembly finished; payload: [doc],
-          [embeddings], [witnesses] *)
+      (** one document matched; payload: [doc], [nodes], [embeddings],
+          plus [witnesses] for selections and [side] for joins *)
   | Query_end
       (** executor returned; payload: [op], [results], [candidates],
           [embeddings], [elapsed_s]; carries the query's span tree *)

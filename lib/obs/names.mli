@@ -19,7 +19,8 @@ val rewrite : string
 (** Phase (i): pattern-tree rewrite and planning. *)
 
 val execute : string
-(** Phase (ii): XPath execution against the store. *)
+(** Phase (ii): store-query execution — empty, since the compiled
+    matcher reads documents directly during assembly. *)
 
 val assemble : string
 (** Phase (iii): witness-tree assembly. *)
@@ -27,23 +28,10 @@ val assemble : string
 (** {1 Physical operators} — per-operator spans nested inside the
     phases. *)
 
-val xpath : string
-(** One store round-trip for one label query (child of {!execute});
-    annotated by the store with [rows]/[indexed]/[scanned]. *)
-
-val prune : string
-(** Candidate-document pruning (child of {!assemble}); annotated with
-    [kept]/[total] document counts. *)
-
-val embed : string
-(** One document's embedding enumeration (child of {!assemble});
-    annotated by the embedder with its funnel. *)
-
 val matcher : string
 (** One document's compiled single-pass match (child of {!assemble});
-    annotated by the matcher with [nodes]/[structural]/[matches] — the
-    compiled counterpart of {!embed}. *)
+    annotated with [nodes]/[structural]/[matches]. *)
 
 val pair : string
 (** The join's pairing operator (child of {!assemble}); annotated with
-    the chosen [strategy] (["hash"] or ["nested-loop"]). *)
+    the chosen [strategy] (["hash"], ["sim"] or ["nested-loop"]). *)

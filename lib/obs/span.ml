@@ -136,7 +136,6 @@ let annotate kvs =
   | frame :: _ -> frame.fmeta <- frame.fmeta @ kvs
 
 let with_ ?meta name fn = fst (exec ?meta name fn)
-let timed ?meta name fn = exec ?meta name fn
 
 let run ?meta name fn =
   (* Temporarily detach from any enclosing stack (of this domain) so the

@@ -50,19 +50,9 @@ val annotate : (string * string) list -> unit
 (** Appends key/value pairs to the {e innermost open} span's [meta]
     (after any pairs given at {!with_} time); a no-op when no span is
     open. This is how an operator attaches actuals that are only known
-    once it has run — the store annotates the executor's per-label
-    [xpath] span with [rows]/[indexed]/[scanned], the embedder its
-    [embed] span with candidate counts — which is what the CLI's
-    [--explain-analyze] tree renders. *)
-
-val timed : ?meta:(string * string) list -> string -> (unit -> 'a) -> 'a * t
-(** Like {!with_}, but also returns the finished span — still attached as
-    a child of any enclosing span (unlike {!run}, which detaches). Lets an
-    instrumented call site reuse the span's measured [elapsed_s] instead
-    of reading the clock again: the executor's [Xpath_exec] event reports
-    exactly the enclosing [xpath] span's duration, so the event log and
-    EXPLAIN ANALYZE cannot disagree about how long a store round-trip
-    took. *)
+    once it has run — the compiled matcher annotates each [match] span
+    with its [nodes]/[structural]/[matches] funnel — which is what the
+    CLI's [--explain-analyze] tree renders. *)
 
 val run : ?meta:(string * string) list -> string -> (unit -> 'a) -> 'a * t
 (** Like {!with_}, but also returns the finished span — how the executor

@@ -234,8 +234,8 @@ let do_explain t ~collection ~tql ~mode =
                   err Protocol.Query_error "explain supports SELECT queries only"
               | Tql.Select sl ->
                   let plan =
-                    Planner.plan_select ~mode ~optimize:true seo
-                      (Session.pinned_snapshot pinned) ~pattern:q.Tql.pattern ~sl
+                    Planner.plan_select ~mode seo (Session.pinned_snapshot pinned)
+                      ~pattern:q.Tql.pattern ~sl
                   in
                   let e =
                     Explain.with_plan (Explain.explain ~mode seo q.Tql.pattern) plan

@@ -30,7 +30,7 @@
 
     [exec] is deadline-aware: the deadline is an absolute
     [Unix.gettimeofday] instant, checked on entry and then cooperatively
-    inside the plan interpreter via {!Toss_core.Plan.run}'s [check]
+    inside the compiled matcher via {!Toss_core.Plan.run}'s [check]
     hook — per-request state, so cancellation is domain-safe. A missed
     deadline surfaces as the typed [deadline_exceeded] wire error, never
     a partial result. *)

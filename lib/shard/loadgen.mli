@@ -3,11 +3,11 @@
 
     {2 Why open loop}
 
-    [toss client --bench] is closed-loop: each thread waits for a
-    response before issuing its next request, so a slow response {e
-    delays the offered load} — queueing delay hides itself from the
-    measurement (coordinated omission), and reported tails are far
-    rosier than what an independent client population would see. This
+    A closed-loop client (each thread waits for a response before
+    issuing its next request) lets a slow response {e delay the offered
+    load} — queueing delay hides itself from the measurement
+    (coordinated omission), and reported tails are far rosier than what
+    an independent client population would see. This
     generator is open-loop: request {e arrival times} are drawn up
     front from a Poisson process at the target rate, and each request's
     latency is measured from its {e scheduled arrival} to its

@@ -233,9 +233,7 @@ let v_eval_string ?use_index v s = v_eval ?use_index v (Xpath_parser.parse_exn s
 (* Per-tag node and document counts across one view, built on demand
    from the frozen documents' tag tables and published with a CAS. The
    table is never mutated after publication, so concurrent readers share
-   it safely; a racing builder's duplicate table is dropped. This is the
-   planner's selectivity source: exact for the leading [//tag] step of a
-   rewritten query. *)
+   it safely; a racing builder's duplicate table is dropped. *)
 let tag_table v =
   match Atomic.get v.snap_stats with
   | Some table -> table
@@ -272,41 +270,6 @@ let v_eq_count v ~tag ~value =
   done;
   !total
 
-(* Estimated result cardinality of a query: per union path, the matches
-   of the {e last} step (which determines the result arity), refined by
-   its exact-content predicates through the value indexes. An estimate,
-   not a bound — intermediate steps are ignored — but exact for the
-   common rewritten shapes [//tag] and [//a/b[.='v' or ...]], which is
-   what the planner orders label scans by. [value_index:false] skips the
-   per-value refinement (and so never forces an index build). *)
-let v_estimate_rows ?(value_index = true) v xpath =
-  let total_nodes = v_n_nodes v in
-  let n_docs = Array.length v.entries in
-  let rec est_pred ~tag base = function
-    | Xpath.Content_eq value -> (
-        match tag with
-        | Some tg when value_index -> min base (v_eq_count v ~tag:tg ~value)
-        | _ -> base)
-    | Xpath.And (p, q) -> min (est_pred ~tag base p) (est_pred ~tag base q)
-    | Xpath.Or (p, q) -> min base (est_pred ~tag base p + est_pred ~tag base q)
-    | Xpath.Position _ -> min base n_docs
-    | _ -> base
-  in
-  let est_path path =
-    match List.rev path with
-    | [] -> 0
-    | (last : Xpath.step) :: _ ->
-        let base, tag =
-          match last.Xpath.test with
-          | Xpath.Tag tg -> (v_tag_count v tg, Some tg)
-          | Xpath.Any -> (total_nodes, None)
-        in
-        List.fold_left
-          (fun acc p -> min acc (est_pred ~tag base p))
-          base last.Xpath.predicates
-  in
-  min total_nodes (List.fold_left (fun acc path -> acc + est_path path) 0 xpath)
-
 let v_eq_lookup v ~tag ~value =
   List.concat
     (List.map
@@ -334,7 +297,6 @@ module Snapshot = struct
   let tag_count = v_tag_count
   let docs_with_tag = v_docs_with_tag
   let eq_count = v_eq_count
-  let estimate_rows = v_estimate_rows
   let subtrees = v_subtrees
 end
 
@@ -356,6 +318,4 @@ let eq_lookup t ~tag ~value = v_eq_lookup (snapshot t) ~tag ~value
 let tag_count t tag = v_tag_count (snapshot t) tag
 let docs_with_tag t tag = v_docs_with_tag (snapshot t) tag
 let eq_count t ~tag ~value = v_eq_count (snapshot t) ~tag ~value
-let estimate_rows ?value_index t xpath =
-  v_estimate_rows ?value_index (snapshot t) xpath
 let subtrees t results = v_subtrees (snapshot t) results

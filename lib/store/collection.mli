@@ -104,16 +104,6 @@ module Snapshot : sig
   (** Leaf elements with the given tag and exact content, summed across
       all documents (forces the per-document indexes). *)
 
-  val estimate_rows : ?value_index:bool -> t -> Xpath.t -> int
-  (** Estimated result cardinality of the query: per union path, the
-      number of elements matching the last step's name test, refined by
-      its exact-content predicates through the value indexes ([Or] sums,
-      [And] takes the minimum), capped at {!n_nodes}. Exact for the
-      common rewritten shapes [//tag] and [//a/b[.='v' or ...]]; an
-      estimate otherwise (intermediate steps are ignored). With
-      [value_index:false] the per-value refinement is skipped, so no
-      index build is forced. *)
-
   val subtrees :
     t -> (doc_id * Toss_xml.Tree.Doc.node) list -> Toss_xml.Tree.t list
   (** Rematerializes result nodes as trees, preserving result order. *)
@@ -180,8 +170,8 @@ val eq_lookup : t -> tag:string -> value:string -> (doc_id * Toss_xml.Tree.Doc.n
 
 (** {1 Statistics}
 
-    Per-term statistics backing the planner's selectivity estimates,
-    cached per version (a new version starts with an empty cache). *)
+    Per-term statistics, cached per version (a new version starts with
+    an empty cache). *)
 
 val tag_count : t -> string -> int
 (** Elements with the given tag, summed across all documents. *)
@@ -192,9 +182,6 @@ val docs_with_tag : t -> string -> int
 val eq_count : t -> tag:string -> value:string -> int
 (** Leaf elements with the given tag and exact content, summed across
     all documents (forces the per-document indexes). *)
-
-val estimate_rows : ?value_index:bool -> t -> Xpath.t -> int
-(** {!Snapshot.estimate_rows} against the current version. *)
 
 val subtrees : t -> (doc_id * Toss_xml.Tree.Doc.node) list -> Toss_xml.Tree.t list
 (** Rematerializes result nodes as trees, preserving result order. *)

@@ -69,9 +69,8 @@ let token_lookup t ~tag ~token =
 
 let n_entries t = Hashtbl.length t.eq + Hashtbl.length t.tokens
 
-(* Statistics accessors for the planner: plain reads, no lookup/hit
-   metrics — estimating a plan must not perturb the counters that
-   describe executing it. *)
+(* Statistics accessors: plain reads, no lookup/hit metrics — reading a
+   statistic must not perturb the counters that describe lookups. *)
 
 let eq_count t ~tag ~value =
   match Hashtbl.find_opt t.eq (tag, value) with

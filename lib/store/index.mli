@@ -23,9 +23,9 @@ val n_entries : t -> int
 
 (** {1 Statistics}
 
-    Per-term statistics for the cost-based planner. Unlike the lookups
-    above these do not touch the lookup/hit metrics: estimating a plan
-    must not perturb the counters that describe executing it. *)
+    Per-term statistics. Unlike the lookups above these do not touch
+    the lookup/hit metrics: reading a statistic must not perturb the
+    counters that describe lookups. *)
 
 val eq_count : t -> tag:string -> value:string -> int
 (** Number of leaf elements with the given tag whose content equals

@@ -15,7 +15,7 @@ let env_of doc binding label =
    bound, to its own label. *)
 let single_env doc label node l = if l = label then Some (doc, node) else None
 
-let enumerate ?(candidates = fun _ -> None) ~eval doc (pattern : Pattern.t) =
+let enumerate ~eval doc (pattern : Pattern.t) =
   Metrics.incr m_enumerations;
   let n_considered = ref 0 in
   let condition = pattern.Pattern.condition in
@@ -23,29 +23,6 @@ let enumerate ?(candidates = fun _ -> None) ~eval doc (pattern : Pattern.t) =
     List.for_all
       (fun atom -> eval (single_env doc label node) atom)
       (Condition.local_atoms condition label)
-  in
-  (* Candidate lists are turned into hash sets once per label so that
-     narrowing a structural candidate list costs O(1) per node. *)
-  let candidate_sets = Hashtbl.create 8 in
-  let candidate_set label =
-    match Hashtbl.find_opt candidate_sets label with
-    | Some set -> set
-    | None ->
-        let set =
-          Option.map
-            (fun allowed ->
-              let tbl = Hashtbl.create (List.length allowed) in
-              List.iter (fun n -> Hashtbl.replace tbl n ()) allowed;
-              tbl)
-            (candidates label)
-        in
-        Hashtbl.replace candidate_sets label set;
-        set
-  in
-  let narrowed label nodes =
-    match candidate_set label with
-    | None -> nodes
-    | Some allowed -> List.filter (fun n -> Hashtbl.mem allowed n) nodes
   in
   (* Enumerate structural embeddings by walking the pattern in preorder;
      [binding] accumulates in reverse. *)
@@ -60,9 +37,8 @@ let enumerate ?(candidates = fun _ -> None) ~eval doc (pattern : Pattern.t) =
             | Pattern.Ad -> Doc.descendants doc image
           in
           let options =
-            let narrowed = narrowed child.Pattern.label structural in
-            n_considered := !n_considered + List.length narrowed;
-            List.filter (local_ok child.Pattern.label) narrowed
+            n_considered := !n_considered + List.length structural;
+            List.filter (local_ok child.Pattern.label) structural
           in
           List.concat_map
             (fun img ->
@@ -75,12 +51,7 @@ let enumerate ?(candidates = fun _ -> None) ~eval doc (pattern : Pattern.t) =
   in
   let root = pattern.Pattern.root in
   let root_candidates =
-    (* A fetched candidate list for the root replaces the full node scan. *)
-    let scanned =
-      match candidates root.Pattern.label with
-      | Some allowed -> List.sort_uniq Int.compare allowed
-      | None -> Doc.nodes doc
-    in
+    let scanned = Doc.nodes doc in
     n_considered := !n_considered + List.length scanned;
     List.filter (local_ok root.Pattern.label) scanned
   in
@@ -96,12 +67,4 @@ let enumerate ?(candidates = fun _ -> None) ~eval doc (pattern : Pattern.t) =
   Metrics.observe_int m_candidates !n_considered;
   Metrics.observe_int m_structural (List.length structural);
   Metrics.observe_int m_embeddings (List.length embeddings);
-  (* Actuals for the executor's per-document [embed] span (no-op outside
-     one): how wide this enumeration's backtracking was. *)
-  Toss_obs.Span.annotate
-    [
-      ("considered", string_of_int !n_considered);
-      ("structural", string_of_int (List.length structural));
-      ("embeddings", string_of_int (List.length embeddings));
-    ];
   embeddings

@@ -11,15 +11,12 @@ type binding = (int * Toss_xml.Tree.Doc.node) list
 (** Pattern label to document node, in pattern preorder. *)
 
 val enumerate :
-  ?candidates:(int -> Toss_xml.Tree.Doc.node list option) ->
   eval:(Condition.env -> Condition.t -> bool) ->
   Toss_xml.Tree.Doc.t ->
   Pattern.t ->
   binding list
 (** All embeddings, in document order of the root image (then
-    lexicographically). [candidates ~label] may narrow the structural
-    search space for a label (e.g. from an index); [None] means
-    unrestricted. Node-local atomic conjuncts of the pattern's condition
-    are additionally used as prefilters with the supplied [eval]. *)
+    lexicographically). Node-local atomic conjuncts of the pattern's
+    condition are used as prefilters with the supplied [eval]. *)
 
 val env_of : Toss_xml.Tree.Doc.t -> binding -> Condition.env

@@ -123,15 +123,13 @@ let test_phases_and_counts () =
     && stats.Executor.phases.Executor.assemble_s >= 0.);
   checki "result count" (List.length results) stats.Executor.n_results;
   checkb "candidates fetched" true (stats.Executor.n_candidates > 0);
-  checkb "compiled run issues no queries" true (stats.Executor.queries = []);
-  (* The interpreted pipeline still records its per-label store queries
-     and agrees on the answer. *)
-  let results_i, stats_i =
-    Executor.select ~mode:Executor.Toss ~compile:false seo3 collection
-      ~pattern:q.Workload.pattern ~sl:q.Workload.sl
+  (* The in-memory TOSS algebra shares no code with the plan operators
+     and must return the same witnesses, in the same order. *)
+  let reference =
+    Toss_core.Toss_algebra.select seo3 ~pattern:q.Workload.pattern ~sl:q.Workload.sl
+      [ dblp.Dblp_gen.tree ]
   in
-  checkb "interpreted select agrees" true (results_i = results);
-  checkb "three xpath queries" true (List.length stats_i.Executor.queries = 3)
+  checkb "algebra select agrees" true (List.equal Tree.equal reference results)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-schema join (Figure 16(b) shape) on a small corpus             *)

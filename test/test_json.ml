@@ -1,7 +1,6 @@
 (* Tests for the shared JSON module: the writer (new in the server PR)
    and its round-trip contract with the reader. The reader itself is
-   covered by test_eval (through the deprecated [Toss_eval.Json_lite]
-   alias, which must keep working). *)
+   covered by test_eval. *)
 
 module J = Toss_json
 

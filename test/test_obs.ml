@@ -6,7 +6,7 @@ module Metrics = Toss_obs.Metrics
 module Span = Toss_obs.Span
 module Event = Toss_obs.Event
 module Trace = Toss_obs.Trace
-module Json = Toss_eval.Json_lite
+module Json = Toss_json
 module Tree = Toss_xml.Tree
 module Doc = Tree.Doc
 module Pattern = Toss_tax.Pattern
@@ -465,19 +465,19 @@ let test_event_jsonl_escaping () =
             (Option.get (Option.bind (Json.member "b" payload) Json.to_bool)))
   | lines -> Alcotest.failf "expected exactly one line, got %d" (List.length lines)
 
-let run_query_with_events ?(compile = true) () =
+let run_query_with_events ?(docs = [ db ]) () =
   let seo =
     match
       Seo.of_documents ~metric:Workload.experiment_metric ~eps:2.0
-        [ Doc.of_tree db ]
+        (List.map Doc.of_tree docs)
     with
     | Ok seo -> seo
     | Error msg -> failwith msg
   in
   let coll = Collection.create "events" in
-  ignore (Collection.add_document coll db);
+  List.iter (fun d -> ignore (Collection.add_document coll d)) docs;
   let coll = Collection.snapshot coll in
-  Executor.select ~compile seo coll ~pattern:ullman_pattern ~sl:[ 1 ]
+  Executor.select seo coll ~pattern:ullman_pattern ~sl:[ 1 ]
 
 let test_slow_query_threshold () =
   let captured = ref [] in
@@ -497,7 +497,7 @@ let test_slow_query_record_replays () =
   let captured = ref [] in
   with_sink
     (Event.slow_query ~threshold_s:0. ~write:(fun l -> captured := l :: !captured))
-    (fun () -> ignore (run_query_with_events ~compile:false ()));
+    (fun () -> ignore (run_query_with_events ()));
   match !captured with
   | [ line ] -> (
       match Json.parse line with
@@ -521,43 +521,44 @@ let test_slow_query_record_replays () =
           checks "stream starts the query" "query_start" (List.hd kinds);
           checks "stream ends the query" "query_end"
             (List.nth kinds (List.length kinds - 1));
-          checkb "rewrite precedes xpath" true
-            (List.mem "rewrite_done" kinds && List.mem "xpath_exec" kinds);
+          checkb "rewrite precedes the match" true
+            (kinds = [ "query_start"; "rewrite_done"; "embed_done"; "query_end" ]);
           let last = List.nth events (List.length events - 1) in
           checkb "query_end carries the span tree" true
             (Json.member "trace" last <> None))
   | lines -> Alcotest.failf "expected one slow record, got %d" (List.length lines)
 
-(* The executor's event stream itself: a select emits the expected kinds
-   in pipeline order, and the xpath_exec row counts sum to the stats
-   record's candidate count. *)
+(* The executor's event stream over a two-document collection: one
+   embed_done per document in pipeline order, and the per-document node
+   counts sum to the stats record's candidate count. *)
 let test_executor_event_stream () =
   let sink = Event.memory () in
-  let _, stats = with_sink sink (fun () -> run_query_with_events ~compile:false ()) in
+  let second = Toss_xml.Parser.parse_exn "<dblp><inproceedings/></dblp>" in
+  let _, stats =
+    with_sink sink (fun () -> run_query_with_events ~docs:[ db; second ] ())
+  in
   let evs = Event.events sink in
   let kinds = List.map (fun (e : Event.t) -> Event.kind_name e.Event.kind) evs in
   Alcotest.(check (list string))
     "pipeline order"
-    [ "query_start"; "rewrite_done"; "xpath_exec"; "xpath_exec"; "embed_done";
-      "query_end" ]
+    [ "query_start"; "rewrite_done"; "embed_done"; "embed_done"; "query_end" ]
     kinds;
-  let rows =
-    List.fold_left
-      (fun acc (e : Event.t) ->
-        match e.Event.kind with
-        | Event.Xpath_exec -> acc + Option.get (Event.payload_int e "rows")
-        | _ -> acc)
-      0 evs
+  let per_doc key =
+    List.filter_map
+      (fun (e : Event.t) ->
+        if e.Event.kind = Event.Embed_done then Event.payload_int e key else None)
+      evs
   in
-  checki "xpath rows sum to candidates" stats.Executor.n_candidates rows;
+  Alcotest.(check (list int)) "one event per document" [ 0; 1 ] (per_doc "doc");
+  checki "document nodes sum to candidates" stats.Executor.n_candidates
+    (List.fold_left ( + ) 0 (per_doc "nodes"));
   let last = List.nth evs (List.length evs - 1) in
   checkb "query_end carries the trace" true (last.Event.trace <> None);
   checki "results in payload" stats.Executor.n_results
     (Option.get (Event.payload_int last "results"))
 
-(* The compiled matcher (the default) issues no store queries, so its
-   stream has no xpath_exec events: one embed_done per document, with the
-   match counts in the payload. *)
+(* The compiled matcher issues no store queries: one embed_done per
+   document, with the match counts in the payload. *)
 let test_compiled_event_stream () =
   let sink = Event.memory () in
   let _, stats = with_sink sink (fun () -> run_query_with_events ()) in
@@ -891,28 +892,15 @@ let test_prometheus_sanitizes () =
 
 let expected_series =
   [
+    "compile.matchers";
+    "compile.matches";
+    "compile.nodes.visited";
     "executor.candidates";
     "executor.embeddings";
     "executor.phase.seconds";
     "executor.results";
     "executor.select.total";
-    "rewrite.fanout";
-    "rewrite.label_queries";
-    "rewrite.patterns";
-    "store.eval.queries";
-    "store.eval.results";
-    "tax.embed.candidates_considered";
-    "tax.embed.embeddings";
-    "tax.embed.enumerations";
-  ]
-
-(* Series the compiled (default) matcher emits on top of the above. *)
-let expected_compiled_series =
-  [
-    "compile.matchers";
-    "compile.matches";
-    "compile.nodes.visited";
-    "planner.plans.compiled";
+    "planner.plans";
   ]
 
 let test_executor_emits_metrics () =
@@ -929,9 +917,7 @@ let test_executor_emits_metrics () =
   let coll = Collection.create "golden" in
   ignore (Collection.add_document coll db);
   let coll = Collection.snapshot coll in
-  let results, stats =
-    Executor.select ~compile:false seo coll ~pattern:ullman_pattern ~sl:[ 1 ]
-  in
+  let results, stats = Executor.select seo coll ~pattern:ullman_pattern ~sl:[ 1 ] in
   checki "query finds the paper" 1 (List.length results);
   let snap = Metrics.snapshot () in
   let names = Metrics.names snap in
@@ -950,15 +936,6 @@ let test_executor_emits_metrics () =
   checki "candidates agree" stats.Executor.n_candidates
     (histo_sum "executor.candidates");
   checki "results agree" stats.Executor.n_results (histo_sum "executor.results");
-  (* A compiled run adds the matcher series. *)
-  let _, _ = Executor.select seo coll ~pattern:ullman_pattern ~sl:[ 1 ] in
-  let snap = Metrics.snapshot () in
-  let names = Metrics.names snap in
-  List.iter
-    (fun expected ->
-      checkb (Printf.sprintf "series %s emitted" expected) true
-        (List.mem expected names))
-    expected_compiled_series;
   checki "one matcher built" 1
     (Option.get (Metrics.find_counter snap "compile.matchers"))
 

@@ -1,29 +1,29 @@
 (* Planner equivalence and unit tests.
 
-   The planner must never change answers, only the work done to produce
-   them. The equivalence suite runs a generated workload (50+
-   query/mode combinations over the Section 6 corpus) through every
-   config in {compile on, off} x {planner on, off} x {use_index on, off}
-   and requires identical result trees (same list, same order) and
-   identical embedding counts — in particular, the compiled single-pass
-   matcher must agree exactly with the interpreted scan/prune/embed
-   pipeline. Joins get a fourth axis (sim-pair on/off). Unit tests pin
-   the selectivity estimator, the most-selective-first scan ordering,
-   and the hash/sim-pair/nested-loop pairing choice (including the
-   tiny-build-side fallback). *)
+   The engine must never change answers, only the work done to produce
+   them. The equivalence suite runs a generated workload (50
+   query/mode combinations over the Section 6 corpus) and requires the
+   compiled matcher's witness trees (same list, same order) and
+   embedding counts to equal the in-memory algebra's — per-document
+   embedding enumeration, which shares no code with the plan operators.
+   Joins run under every planner x sim-pair setting and must each equal
+   the algebra's join. Unit tests pin the hash/sim-pair/nested-loop
+   pairing choice (including the tiny-build-side fallback) and the
+   memoized SEO expansions the compiled predicates are built from. *)
 
 module Tree = Toss_xml.Tree
 module Doc = Tree.Doc
 module Pattern = Toss_tax.Pattern
 module Condition = Toss_tax.Condition
 module Collection = Toss_store.Collection
-module Xpath_parser = Toss_store.Xpath_parser
 module Span = Toss_obs.Span
 module Seo = Toss_core.Seo
 module Executor = Toss_core.Executor
 module Planner = Toss_core.Planner
 module Plan = Toss_core.Plan
 module Rewrite = Toss_core.Rewrite
+module Compile = Toss_core.Compile
+module Toss_condition = Toss_core.Toss_condition
 module Corpus = Toss_data.Corpus
 module Dblp_gen = Toss_data.Dblp_gen
 module Sigmod_gen = Toss_data.Sigmod_gen
@@ -37,8 +37,7 @@ let dblp = Dblp_gen.render ~seed:11 corpus
 let sigmod = Sigmod_gen.render ~seed:11 corpus
 
 (* One big document (the DBLP rendering) and one genuinely multi-document
-   collection (one SIGMOD proceedings page per document), so candidate-doc
-   pruning has documents to drop. *)
+   collection (one SIGMOD proceedings page per document). *)
 let dblp_coll =
   let c = Collection.create "dblp" in
   ignore (Collection.add_document c dblp.Dblp_gen.tree);
@@ -58,63 +57,68 @@ let seo =
   | Ok seo -> seo
   | Error msg -> failwith msg
 
-let configs =
-  [
-    (true, true, true); (true, true, false); (true, false, true);
-    (true, false, false); (false, true, true); (false, true, false);
-    (false, false, true); (false, false, false);
-  ]
+let eval_of mode =
+  match mode with
+  | Executor.Tax -> Condition.eval_tax
+  | Executor.Toss -> Toss_condition.evaluator seo
 
-(* Run one selection under every config; all eight must agree exactly. *)
-let check_select_equivalent ~what coll mode ~pattern ~sl =
-  let reference = ref None in
-  List.iter
-    (fun (compile, planner, use_index) ->
-      let results, stats =
-        Executor.select ~mode ~compile ~planner ~use_index seo coll ~pattern ~sl
-      in
-      let tag =
-        Printf.sprintf "%s compile=%b planner=%b index=%b" what compile planner
-          use_index
-      in
-      match !reference with
-      | None -> reference := Some (results, stats.Executor.n_embeddings)
-      | Some (r0, e0) ->
-          checkb (tag ^ ": same results") true (results = r0);
-          checki (tag ^ ": same embeddings") e0 stats.Executor.n_embeddings)
-    configs
+(* The reference answer: TAX selection (Definition 3) per document, under
+   the mode's evaluator, and the number of embeddings it found. *)
+let algebra_select mode trees ~pattern ~sl =
+  let eval = eval_of mode in
+  ( Toss_tax.Algebra.select ~eval ~pattern ~sl trees,
+    List.fold_left
+      (fun n t -> n + List.length (Toss_tax.Algebra.embeddings_of_tree ~eval ~pattern t))
+      0 trees )
 
-(* Joins add a fourth axis: the sim-pair operator on/off. Every
-   (compile, planner, index, simjoin) combination must return the same
-   witness trees in the same order — in particular the signature-indexed
-   pairing must agree witness-for-witness with the nested loop it
-   replaces. *)
+let check_select_equivalent ~what coll trees mode ~pattern ~sl =
+  let results, stats = Executor.select ~mode seo coll ~pattern ~sl in
+  let reference, n_embeddings = algebra_select mode trees ~pattern ~sl in
+  checkb (what ^ ": same results as the algebra") true
+    (List.equal Tree.equal results reference);
+  checki (what ^ ": same embeddings as the algebra") n_embeddings
+    stats.Executor.n_embeddings
+
+(* The algebra dedups per document pair, the executor across the whole
+   answer, so joins compare as sets. *)
+let as_set trees = List.sort_uniq Tree.compare trees
+
+(* Every (planner, simjoin) combination must return the algebra's join,
+   and all four must agree exactly with one another — same list, same
+   order, same [n_embeddings] — so the signature-indexed and hash
+   pairings reproduce the nested loop they replace, duplicates and
+   order included. *)
 let check_join_equivalent ~what ~pattern ~sl =
-  let reference = ref None in
-  List.iter
-    (fun (compile, planner, use_index) ->
+  let reference =
+    as_set
+      (Toss_core.Toss_algebra.join seo ~pattern ~sl [ dblp.Dblp_gen.tree ]
+         sigmod.Sigmod_gen.trees)
+  in
+  let runs =
+    List.map
+      (fun (planner, simjoin) ->
+        let results, stats =
+          Executor.join ~planner ~simjoin seo dblp_coll sigmod_coll ~pattern ~sl
+        in
+        let tag = Printf.sprintf "%s planner=%b simjoin=%b" what planner simjoin in
+        checkb (tag ^ ": same results as the algebra") true
+          (List.equal Tree.equal (as_set results) reference);
+        (tag, results, stats.Executor.n_embeddings))
+      [ (true, true); (true, false); (false, true); (false, false) ]
+  in
+  match runs with
+  | [] -> ()
+  | (_, r0, e0) :: others ->
       List.iter
-        (fun simjoin ->
-          let results, stats =
-            Executor.join ~compile ~planner ~use_index ~simjoin seo dblp_coll
-              sigmod_coll ~pattern ~sl
-          in
-          let tag =
-            Printf.sprintf "%s compile=%b planner=%b index=%b simjoin=%b" what
-              compile planner use_index simjoin
-          in
-          match !reference with
-          | None -> reference := Some (results, stats.Executor.n_embeddings)
-          | Some (r0, e0) ->
-              checkb (tag ^ ": same results") true (results = r0);
-              checki (tag ^ ": same embeddings") e0 stats.Executor.n_embeddings)
-        [ true; false ])
-    configs
+        (fun (tag, results, n_embeddings) ->
+          checkb (tag ^ ": same results as the first setting") true
+            (List.equal Tree.equal results r0);
+          checki (tag ^ ": same embeddings as the first setting") e0 n_embeddings)
+        others
 
 (* ------------------- equivalence: selections ---------------------- *)
 
-(* 25 workload queries x 2 modes = 50 query/mode combinations, each run
-   under all four configs. *)
+(* 25 workload queries x 2 modes = 50 query/mode combinations. *)
 let test_selection_equivalence () =
   let queries = Workload.selection_queries ~n:25 corpus in
   checki "workload size" 25 (List.length queries);
@@ -124,29 +128,31 @@ let test_selection_equivalence () =
         (fun mode ->
           check_select_equivalent
             ~what:(Printf.sprintf "q%d" q.Workload.query_id)
-            dblp_coll mode ~pattern:q.Workload.pattern ~sl:q.Workload.sl)
+            dblp_coll [ dblp.Dblp_gen.tree ] mode ~pattern:q.Workload.pattern
+            ~sl:q.Workload.sl)
         [ Executor.Tax; Executor.Toss ])
     queries
 
 (* The same workload against the multi-document SIGMOD collection: the
-   patterns mostly miss there, so pruning drops documents wholesale and
-   must still agree with the unpruned plans. *)
+   patterns mostly miss there, so most documents contribute nothing. *)
 let test_selection_equivalence_multidoc () =
   let queries = Workload.selection_queries ~n:8 corpus in
   List.iter
     (fun (q : Workload.query) ->
       check_select_equivalent
         ~what:(Printf.sprintf "sigmod q%d" q.Workload.query_id)
-        sigmod_coll Executor.Toss ~pattern:q.Workload.pattern ~sl:q.Workload.sl)
+        sigmod_coll sigmod.Sigmod_gen.trees Executor.Toss
+        ~pattern:q.Workload.pattern ~sl:q.Workload.sl)
     queries;
   let pattern, sl = Workload.scalability_selection () in
   List.iter
-    (fun coll ->
-      check_select_equivalent ~what:"scalability" coll Executor.Toss ~pattern ~sl)
-    [ dblp_coll; sigmod_coll ]
+    (fun (coll, trees) ->
+      check_select_equivalent ~what:"scalability" coll trees Executor.Toss ~pattern
+        ~sl)
+    [ (dblp_coll, [ dblp.Dblp_gen.tree ]); (sigmod_coll, sigmod.Sigmod_gen.trees) ]
 
-(* A query with actual SIGMOD matches, so multi-document pruning keeps a
-   non-trivial subset. *)
+(* A query with actual SIGMOD matches, so the multi-document answer is
+   a non-trivial subset of the documents. *)
 let test_sigmod_hits_equivalence () =
   let open Pattern in
   let pattern =
@@ -159,21 +165,10 @@ let test_sigmod_hits_equivalence () =
            Condition.Cmp (Condition.Content 2, Condition.Le, Condition.Str "60");
          ])
   in
-  check_select_equivalent ~what:"articles by page" sigmod_coll Executor.Toss
-    ~pattern ~sl:[];
-  (* The interpreted planner trace carries a prune span; the naive plan
-     has none, and the compiled matcher replaces both with match spans. *)
-  let _, stats = Executor.select ~compile:false seo sigmod_coll ~pattern ~sl:[] in
-  checkb "planner trace has a prune span" true
-    (Span.find stats.Executor.trace "prune" <> None);
-  let _, stats =
-    Executor.select ~compile:false ~planner:false seo sigmod_coll ~pattern ~sl:[]
-  in
-  checkb "naive trace has no prune span" true
-    (Span.find stats.Executor.trace "prune" = None);
-  let _, stats = Executor.select seo sigmod_coll ~pattern ~sl:[] in
-  checkb "compiled trace has no prune span" true
-    (Span.find stats.Executor.trace "prune" = None);
+  check_select_equivalent ~what:"articles by page" sigmod_coll
+    sigmod.Sigmod_gen.trees Executor.Toss ~pattern ~sl:[];
+  let results, stats = Executor.select seo sigmod_coll ~pattern ~sl:[] in
+  checkb "some articles match" true (results <> []);
   checkb "compiled trace has a match span" true
     (Span.find stats.Executor.trace "match" <> None)
 
@@ -211,64 +206,6 @@ let test_join_equivalence_hash () =
   let results, _ = Executor.join seo dblp_coll sigmod_coll ~pattern ~sl in
   checkb "equi-join has matches" true (Workload.result_key_pairs results <> []);
   check_join_equivalent ~what:"equi join" ~pattern ~sl
-
-(* ---------------------- unit: selectivity ------------------------- *)
-
-let small_coll =
-  let c = Collection.create "small" in
-  (match
-     Collection.add_xml c "<r><a>x</a><a>y</a><b>x</b><c><a>x</a></c></r>"
-   with
-  | Ok _ -> ()
-  | Error _ -> failwith "bad xml");
-  c
-
-let est ?value_index q =
-  Collection.estimate_rows ?value_index small_coll (Xpath_parser.parse_exn q)
-
-let test_estimate_rows () =
-  checki "tag count" 3 (est "//a");
-  checki "unknown tag" 0 (est "//zzz");
-  checki "eq refinement" 2 (est "//a[.='x']");
-  checki "or sums" 3 (est "//a[.='x' or .='y']");
-  checki "and takes min" 1 (est "//a[.='x' and .='y']");
-  checki "union of paths sums" 4 (est "//a|//b");
-  checki "no refinement without value index" 3 (est ~value_index:false "//a[.='x']");
-  checki "capped at collection size" 6 (est "//*");
-  checki "tag stats" 3 (Collection.tag_count small_coll "a");
-  checki "docs with tag" 1 (Collection.docs_with_tag small_coll "a");
-  checki "eq count" 2 (Collection.eq_count small_coll ~tag:"a" ~value:"x")
-
-(* ---------------------- unit: scan ordering ----------------------- *)
-
-let test_scan_ordering () =
-  let queries = Workload.selection_queries ~n:1 corpus in
-  let q = List.hd queries in
-  (* Scan shaping is an interpreted-pipeline concern: the compiled plan
-     (the default) issues no scans at all. *)
-  let compiled =
-    Planner.plan_select seo dblp_coll ~pattern:q.Workload.pattern
-      ~sl:q.Workload.sl
-  in
-  checkb "compiled plan has no scans" true (Plan.scans compiled = []);
-  let plan =
-    Planner.plan_select ~compile:false seo dblp_coll ~pattern:q.Workload.pattern
-      ~sl:q.Workload.sl
-  in
-  let scans = Plan.scans plan in
-  let ests = List.map (fun s -> Option.get s.Plan.est_rows) scans in
-  checkb "estimates ascend" true (List.sort compare ests = ests);
-  (* The naive plan keeps rewrite (pattern preorder) order and carries no
-     estimates. *)
-  let naive =
-    Planner.plan_select ~compile:false ~optimize:false seo dblp_coll
-      ~pattern:q.Workload.pattern ~sl:q.Workload.sl
-  in
-  checkb "naive order is preorder" true
-    (List.map (fun s -> s.Plan.scan_label) (Plan.scans naive)
-    = Pattern.labels q.Workload.pattern);
-  checkb "naive has no estimates" true
-    (List.for_all (fun s -> s.Plan.est_rows = None) (Plan.scans naive))
 
 (* ------------------- unit: pairing strategy ----------------------- *)
 
@@ -342,7 +279,20 @@ let test_pairing_choice () =
 
 (* --------------------- unit: rewrite cache ------------------------ *)
 
+(* Compiling a pattern expands its constants through the memoized
+   expansions: a second compilation of the same pattern under the same
+   SEO is served entirely from the cache, with the walks' answers. *)
 let test_rewrite_cache () =
+  let module Metrics = Toss_obs.Metrics in
+  let pattern, _ = Workload.scalability_selection () in
+  let counter name =
+    Option.value ~default:0 (Metrics.find_counter (Metrics.snapshot ()) name)
+  in
+  ignore (Compile.build seo pattern);
+  let misses = counter "rewrite.cache.misses" and hits = counter "rewrite.cache.hits" in
+  ignore (Compile.build seo pattern);
+  checki "recompilation misses nothing" misses (counter "rewrite.cache.misses");
+  checkb "recompilation hits the cache" true (counter "rewrite.cache.hits" > hits);
   let direct = Seo.isa_below seo "database conference" in
   let cached = Rewrite.isa_below seo "database conference" in
   checkb "cached expansion matches Seo" true (cached = direct);
@@ -397,7 +347,7 @@ let () =
             test_selection_equivalence;
           Alcotest.test_case "multi-document collection" `Quick
             test_selection_equivalence_multidoc;
-          Alcotest.test_case "pruning keeps matching docs" `Quick
+          Alcotest.test_case "multi-document matches" `Quick
             test_sigmod_hits_equivalence;
           Alcotest.test_case "similarity join" `Quick
             test_join_equivalence_similarity;
@@ -406,8 +356,6 @@ let () =
         ] );
       ( "planner units",
         [
-          Alcotest.test_case "selectivity estimation" `Quick test_estimate_rows;
-          Alcotest.test_case "scan ordering" `Quick test_scan_ordering;
           Alcotest.test_case "pairing strategy" `Quick test_pairing_choice;
           Alcotest.test_case "rewrite expansion cache" `Quick test_rewrite_cache;
           Alcotest.test_case "cache invalidation on SEO/eps change" `Quick

@@ -174,6 +174,16 @@ let test_collection_basics () =
   checki "nodes across docs" 5 (Collection.n_nodes c);
   checks "name" "test" (Collection.name c)
 
+let test_collection_statistics () =
+  let c = Collection.create "small" in
+  (match Collection.add_xml c "<r><a>x</a><a>y</a><b>x</b><c><a>x</a></c></r>" with
+  | Ok _ -> ()
+  | Error _ -> failwith "bad xml");
+  checki "tag count" 3 (Collection.tag_count c "a");
+  checki "unknown tag" 0 (Collection.tag_count c "zzz");
+  checki "docs with tag" 1 (Collection.docs_with_tag c "a");
+  checki "eq count" 2 (Collection.eq_count c ~tag:"a" ~value:"x")
+
 let test_collection_eval () =
   let c, _, _ = make_collection () in
   let hits = Collection.eval_string c "//a" in
@@ -420,6 +430,7 @@ let () =
       ( "collection",
         [
           Alcotest.test_case "basics" `Quick test_collection_basics;
+          Alcotest.test_case "per-term statistics" `Quick test_collection_statistics;
           Alcotest.test_case "evaluation" `Quick test_collection_eval;
           Alcotest.test_case "indexed eval agrees with naive" `Quick
             test_collection_eval_index_agrees;

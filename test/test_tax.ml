@@ -181,17 +181,6 @@ let test_embeddings_cross_label_condition () =
   checki "no equal author/title" 0
     (List.length (Embedding.enumerate ~eval:Condition.eval_tax dblp_doc p))
 
-let test_embeddings_candidates_narrow () =
-  let p =
-    Pattern.v
-      (Pattern.node 1 [ Pattern.pc (Pattern.leaf 2) ])
-      (Condition.conj [ Condition.tag_eq 1 "inproceedings"; Condition.tag_eq 2 "author" ])
-  in
-  let only_first = List.hd (Doc.by_tag dblp_doc "author") in
-  let candidates label = if label = 2 then Some [ only_first ] else None in
-  checki "candidate restriction honoured" 1
-    (List.length (Embedding.enumerate ~candidates ~eval:Condition.eval_tax dblp_doc p))
-
 (* ------------------------------------------------------------------ *)
 (* Witness trees                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -595,7 +584,6 @@ let () =
           Alcotest.test_case "ancestor-descendant edges" `Quick test_embeddings_ad_edge;
           Alcotest.test_case "cross-label conditions" `Quick
             test_embeddings_cross_label_condition;
-          Alcotest.test_case "candidate narrowing" `Quick test_embeddings_candidates_narrow;
         ] );
       ( "witness",
         [
