@@ -1,6 +1,6 @@
 module Hierarchy = Toss_hierarchy.Hierarchy
 module Metric = Toss_similarity.Metric
-module Node_dist = Toss_similarity.Node_dist
+module Node = Toss_hierarchy.Node
 module Sea = Toss_similarity.Sea
 module Ontology = Toss_ontology.Ontology
 module Interop = Toss_ontology.Interop
@@ -10,15 +10,18 @@ module Fusion = Toss_ontology.Fusion
 module Seo = Toss_core.Seo
 
 let epsilon_edges ~metric ~eps h =
-  let nodes = Array.of_list (Hierarchy.nodes h) in
-  let n = Array.length nodes in
-  List.concat
-    (List.init n (fun i ->
-         List.filter_map
-           (fun j ->
-             if Node_dist.within metric ~eps nodes.(i) nodes.(j) then Some (i, j)
-             else None)
-           (List.init (n - i - 1) (fun k -> i + 1 + k))))
+  let (Metric.Staged s) = Metric.stage metric ~eps in
+  let nodes =
+    Array.of_list (List.map (fun n -> List.map s.prepare (Node.strings n)) (Hierarchy.nodes h))
+  in
+  let within a b = List.exists (fun x -> List.exists (s.test x) b) a in
+  let edges = ref [] in
+  for i = Array.length nodes - 1 downto 0 do
+    for j = Array.length nodes - 1 downto i + 1 do
+      if within nodes.(i) nodes.(j) then edges := (i, j) :: !edges
+    done
+  done;
+  !edges
 
 let auto_constraints ?(lexicon = Lexicon.seeded) ontologies =
   let indexed = List.mapi (fun i o -> (i, o)) ontologies in

@@ -2,14 +2,14 @@
     check of the production build against it.
 
     Production builds the SEO with two shortcuts: the SEA ε-graph tests
-    pairs of strings prepared once ({!Toss_similarity.Sea.epsilon_edges}),
-    and the synonym constraints are a linear spanning set
-    ({!Toss_ontology.Maker.auto_constraints}). The references below are
-    the definitions those shortcuts replace — every node pair tested
-    through the string-pair [Metric.within], and one equality per
-    cross-source synonym pair — so a shortcut that drops or adds an edge,
-    or merges a different set of terms, shows up as a difference in the
-    fused or enhanced hierarchies. *)
+    only the node pairs whose strings share a blocking key
+    ({!Toss_similarity.Sea.epsilon_edges}), and the synonym constraints
+    are a linear spanning set ({!Toss_ontology.Maker.auto_constraints}).
+    The references below are the definitions those shortcuts replace —
+    every node pair tested, and one equality per cross-source synonym
+    pair — so a shortcut that drops or adds an edge, or merges a different
+    set of terms, shows up as a difference in the fused or enhanced
+    hierarchies. *)
 
 module Hierarchy = Toss_hierarchy.Hierarchy
 module Metric = Toss_similarity.Metric
@@ -18,7 +18,10 @@ module Interop = Toss_ontology.Interop
 
 val epsilon_edges : metric:Metric.t -> eps:float -> Hierarchy.t -> (int * int) list
 (** Every pair [(i, j)], [i < j], of positions in [Hierarchy.nodes h] with
-    [Node_dist.within metric ~eps], ascending. *)
+    [Node_dist.within metric ~eps], ascending. Every node pair is tested,
+    with no blocking; each string is prepared once through
+    [Metric.stage], whose test is [Metric.within]'s (test_seo_build checks
+    [prepared = within] for every shipped measure). *)
 
 val auto_constraints :
   ?lexicon:Toss_ontology.Lexicon.t ->

@@ -55,9 +55,11 @@ let prepare s =
     tokens = Text_rules.prepare s;
   }
 
+(* Short strings (venue acronyms, years) get half the edit budget. *)
+let budgets eps = (int_of_float eps, int_of_float (eps /. 2.))
+
 let experiment_within ~eps =
-  (* Short strings (venue acronyms, years) get half the edit budget. *)
-  let long_budget = int_of_float eps and short_budget = int_of_float (eps /. 2.) in
+  let long_budget, short_budget = budgets eps in
   fun a b ->
     String.equal a.text b.text
     || eps >= 0.
@@ -70,9 +72,24 @@ let experiment_within ~eps =
        | _ -> false)
     || Text_rules.within_prepared ~eps a.tokens b.tokens
 
+(* The union of the three components' keys. A pair's edit budget is the
+   shorter string's, and a long string's keys at the long budget include
+   those at the short one, so each string is keyed at its own budget.
+   From the dropped-token cost on, the text keys, and so the union, are
+   the one key. *)
+let experiment_keys ~eps =
+  let long_budget, short_budget = budgets eps in
+  if eps >= Text_rules.skip_cost then Metric.one_key
+  else fun a ->
+    Metric.tag 0
+      (Levenshtein.keys ~budget:(if a.length >= 6 then long_budget else short_budget) a.text)
+    @ (match a.name with Some x -> Metric.tag 1 (Name_rules.keys ~eps x) | None -> [])
+    @ Metric.tag 2 (Text_rules.keys ~eps a.tokens)
+
 let experiment_metric =
   Metric.staged ~name:"toss-experiment" ~strong:false
-    ~stage:(fun ~eps -> Metric.Staged { prepare; test = experiment_within ~eps })
+    ~stage:(fun ~eps ->
+      Metric.Staged { prepare; test = experiment_within ~eps; keys = experiment_keys ~eps })
     experiment_distance
 
 type query = {

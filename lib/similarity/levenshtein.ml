@@ -110,9 +110,34 @@ let damerau_distance a b =
 let within_banded ~eps a b =
   eps >= 0. && distance_within (int_of_float eps) a b <> None
 
+let prefix_length = 6
+
+(* Each kept subsequence is hashed as it is built, character by
+   character, so no subsequence string is allocated; the hash depends on
+   the subsequence only. *)
+let keys ~budget s =
+  let p = min prefix_length (String.length s) in
+  let rec go i h left acc =
+    if i = p then h :: acc
+    else
+      let acc = go (i + 1) ((h * 0x100000001b3) + Char.code s.[i]) left acc in
+      if left > 0 then go (i + 1) h (left - 1) acc else acc
+  in
+  List.sort_uniq Int.compare (go 0 0 (max 0 budget) [])
+
 let metric =
-  Metric.v ~name:"levenshtein" ~strong:true ~within:within_banded (fun a b ->
-      float_of_int (distance a b))
+  Metric.staged ~name:"levenshtein" ~strong:true
+    ~stage:(fun ~eps ->
+      let budget = int_of_float eps in
+      Metric.Staged
+        {
+          prepare = Fun.id;
+          test = within_banded ~eps;
+          (* With [prefix_length] deletions every string's keys hold the
+             empty subsequence, so every pair is a candidate anyway. *)
+          keys = (if budget >= prefix_length then Metric.one_key else keys ~budget);
+        })
+    (fun a b -> float_of_int (distance a b))
 
 let damerau_metric =
   Metric.v ~name:"damerau-levenshtein" ~strong:true (fun a b ->

@@ -1,4 +1,10 @@
-type staged = Staged : { prepare : string -> 'p; test : 'p -> 'p -> bool } -> staged
+type staged =
+  | Staged : {
+      prepare : string -> 'p;
+      test : 'p -> 'p -> bool;
+      keys : 'p -> int list;
+    }
+      -> staged
 
 type t = {
   name : string;
@@ -7,7 +13,9 @@ type t = {
   stage : eps:float -> staged;
 }
 
-let pairwise test = Staged { prepare = Fun.id; test }
+let one_key _ = [ 0 ]
+let tag i keys = List.map (fun k -> Hashtbl.hash (i, k)) keys
+let pairwise test = Staged { prepare = Fun.id; test; keys = one_key }
 
 let v ~name ~strong ?within dist =
   let stage =
@@ -44,18 +52,21 @@ let cap bound m =
   }
 
 (* Pairs two staged tests: the prepared value carries both components,
-   and [combine] decides from the first verdict and the (lazy) second. *)
-let both combine (Staged a) (Staged b) =
+   [combine] decides from the first verdict and the (lazy) second, and
+   [keys] builds the pair's keys from the first component's and the
+   (lazy) second's. *)
+let both combine keys (Staged a) (Staged b) =
   Staged
     {
       prepare = (fun s -> (a.prepare s, b.prepare s));
       test = (fun (x1, x2) (y1, y2) -> combine (a.test x1 y1) (fun () -> b.test x2 y2));
+      keys = (fun (x1, x2) -> keys (a.keys x1) (fun () -> b.keys x2));
     }
 
-let fold_stages combine ms ~eps =
+let fold_stages combine keys ms ~eps =
   match List.map (fun m -> m.stage ~eps) ms with
   | [] -> assert false
-  | first :: rest -> List.fold_left (both combine) first rest
+  | first :: rest -> List.fold_left (both combine keys) first rest
 
 let min_of ~name = function
   | [] -> invalid_arg "Metric.min_of: empty list"
@@ -65,7 +76,7 @@ let min_of ~name = function
         strong = false;
         dist =
           (fun a b -> List.fold_left (fun acc m -> Float.min acc (m.dist a b)) infinity ms);
-        stage = fold_stages (fun x y -> x || y ()) ms;
+        stage = fold_stages (fun x y -> x || y ()) (fun k1 k2 -> tag 0 k1 @ tag 1 (k2 ())) ms;
       }
 
 let max_of ~name = function
@@ -76,7 +87,7 @@ let max_of ~name = function
         strong = List.for_all (fun m -> m.strong) ms;
         dist =
           (fun a b -> List.fold_left (fun acc m -> Float.max acc (m.dist a b)) 0. ms);
-        stage = fold_stages (fun x y -> x && y ()) ms;
+        stage = fold_stages (fun x y -> x && y ()) (fun k1 _ -> k1) ms;
       }
 
 let of_similarity ~name sim = v ~name ~strong:false (fun a b -> Float.max 0. (1. -. sim a b))

@@ -111,9 +111,27 @@ let distance_prepared x y =
 let within_prepared ~eps x y = eps >= mismatch_cost || distance_prepared x y <= eps
 let distance x y = distance_prepared (prepare x) (prepare y)
 
+let one_deletions s =
+  List.init (String.length s) (fun i ->
+      String.init (String.length s - 1) (fun j -> if j < i then s.[j] else s.[j + 1]))
+
+(* Below [mismatch_cost] a pair is within [eps] only through
+   [surname_cost] (equal surnames, or surnames of at least 4 characters
+   one edit apart, which then share a one-deletion variant or one is the
+   other's) or through equal spacing-free spellings. A typo costs
+   [typo_unit], so below it only equal surnames pass. *)
+let keys ~eps = function
+  | _ when eps >= mismatch_cost -> Metric.one_key ()
+  | Empty -> [ Hashtbl.hash "" ]
+  | Name { surname; flat; _ } ->
+      let variants =
+        if eps >= typo_unit && String.length surname >= 4 then one_deletions surname else []
+      in
+      Hashtbl.hash (0, flat) :: List.map (fun s -> Hashtbl.hash (1, s)) (surname :: variants)
+
 let metric =
   Metric.staged ~name:"name-rules" ~strong:false
-    ~stage:(fun ~eps -> Metric.Staged { prepare; test = within_prepared ~eps })
+    ~stage:(fun ~eps -> Metric.Staged { prepare; test = within_prepared ~eps; keys = keys ~eps })
     distance
 
 let compatible ~threshold a b = distance a b <= threshold

@@ -32,8 +32,15 @@ val within_prepared : eps:float -> prepared -> prepared -> bool
     character apart in length never match, so those pairs skip the
     given-name alignment. *)
 
+val keys : eps:float -> prepared -> int list
+(** Blocking keys for {!within_prepared} (the key law of
+    {!Metric.staged}): the spacing-free spelling, the surname, and from
+    [eps >= 1.1] (one typo) the surname's one-deletion variants when it
+    has at least 4 characters; one key for the empty name. At
+    [eps >= 6.5] every pair is within, and the key is {!Metric.one_key}. *)
+
 val metric : Metric.t
-(** Staged: {!prepare} then {!within_prepared}. *)
+(** Staged: {!prepare}, {!within_prepared} and {!keys}. *)
 
 val compatible : threshold:float -> string -> string -> bool
 (** [distance a b <= threshold]. *)

@@ -20,19 +20,80 @@ let cluster_of original_nodes clique =
 
 let check_threshold eps = if eps < 0. then invalid_arg "Sea.enhance: negative threshold"
 
-(* Each string is prepared once; node pairs are then tested string pair by
-   string pair, in the argument order [Node_dist.within] uses, stopping at
-   the first pair within [eps]. The strings of node [i] occupy
+(* The strings of every node, prepared once: node [i]'s occupy
    [start.(i) .. start.(i + 1) - 1] of [prepared]. *)
+let prepare_nodes prepare h =
+  let strings = Array.of_list (List.map Node.strings (Hierarchy.nodes h)) in
+  let n = Array.length strings in
+  let start = Array.make (n + 1) 0 in
+  Array.iteri (fun i ss -> start.(i + 1) <- start.(i) + List.length ss) strings;
+  (Array.of_list (List.concat_map (List.map prepare) (Array.to_list strings)), start)
+
+(* Calls [visit i js] for every node [i], from the last to the first,
+   with [js] the later nodes that share a key with [i], each once. A pair
+   of strings within [eps] shares a key (the key law of [Metric.staged]),
+   so no other node can be adjacent to [i]. The index is flat arrays: an
+   open-addressing table from each key to the last of its occurrences,
+   and the occurrences of node [i], [key_start.(i) .. key_start.(i + 1) - 1],
+   each linked through [next] to the key's occurrence in the next node
+   that has it. A node's candidates are the nodes down its keys' chains,
+   collected once each with a stamp. *)
+let iter_candidates keys prepared start visit =
+  let n = Array.length start - 1 in
+  (* Keys are computed twice, once to size the arrays and once to fill
+     them, so that no list of them outlives a string. *)
+  let m = Array.fold_left (fun m p -> m + List.length (keys p)) 0 prepared in
+  let size =
+    let rec grow size = if 2 * size >= 3 * m then size else grow (2 * size) in
+    grow 16
+  in
+  let slot_key = Array.make size 0 and last = Array.make size (-1) in
+  let rec slot key s =
+    let s = s land (size - 1) in
+    if last.(s) < 0 || slot_key.(s) = key then s else slot key (s + 1)
+  in
+  let node = Array.make m 0 and next = Array.make m (-1) and key_start = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    let t = ref key_start.(i) in
+    for x = start.(i) to start.(i + 1) - 1 do
+      List.iter
+        (fun key ->
+          let s = slot key ((key * 0x1e3779b97f4a7c15) lsr 17) in
+          let previous = last.(s) in
+          if previous < 0 || node.(previous) <> i then begin
+            if previous < 0 then slot_key.(s) <- key else next.(previous) <- !t;
+            last.(s) <- !t;
+            node.(!t) <- i;
+            incr t
+          end)
+        (keys prepared.(x))
+    done;
+    key_start.(i + 1) <- !t
+  done;
+  let stamp = Array.make n (-1) in
+  for i = n - 1 downto 0 do
+    let candidates = ref [] in
+    for t = key_start.(i) to key_start.(i + 1) - 1 do
+      let u = ref next.(t) in
+      while !u >= 0 do
+        let j = node.(!u) in
+        if stamp.(j) <> i then begin
+          stamp.(j) <- i;
+          candidates := j :: !candidates
+        end;
+        u := next.(!u)
+      done
+    done;
+    visit i !candidates
+  done
+
+(* Candidate pairs are tested string pair by string pair, in the argument
+   order [Node_dist.within] uses, stopping at the first pair within
+   [eps]. *)
 let epsilon_edges ~metric ~eps h =
   check_threshold eps;
   let (Metric.Staged s) = Metric.stage metric ~eps in
-  let nodes = Array.of_list (Hierarchy.nodes h) in
-  let n = Array.length nodes in
-  let strings = Array.map Node.strings nodes in
-  let start = Array.make (n + 1) 0 in
-  Array.iteri (fun i ss -> start.(i + 1) <- start.(i) + List.length ss) strings;
-  let prepared = Array.of_list (List.concat_map (List.map s.prepare) (Array.to_list strings)) in
+  let prepared, start = prepare_nodes s.prepare h in
   let adjacent i j =
     let found = ref false and x = ref start.(i) in
     while (not !found) && !x < start.(i + 1) do
@@ -46,12 +107,19 @@ let epsilon_edges ~metric ~eps h =
     !found
   in
   let edges = ref [] in
-  for i = n - 1 downto 0 do
-    for j = n - 1 downto i + 1 do
-      if adjacent i j then edges := (i, j) :: !edges
-    done
-  done;
+  iter_candidates s.keys prepared start (fun i candidates ->
+      let adjacent_to_i = List.sort Int.compare (List.filter (adjacent i) candidates) in
+      edges := List.rev_append (List.rev_map (fun j -> (i, j)) adjacent_to_i) !edges);
   !edges
+
+let candidate_pairs ~metric ~eps h =
+  check_threshold eps;
+  let (Metric.Staged s) = Metric.stage metric ~eps in
+  let prepared, start = prepare_nodes s.prepare h in
+  let count = ref 0 in
+  iter_candidates s.keys prepared start (fun _ candidates ->
+      count := !count + List.length candidates);
+  !count
 
 let build ~lift ~eps h edges =
   check_threshold eps;

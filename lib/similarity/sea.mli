@@ -35,8 +35,16 @@ val epsilon_edges : metric:Metric.t -> eps:float -> Hierarchy.t -> (int * int) l
 (** The ε-similarity graph of [H]: the pairs [(i, j)], [i < j], of
     positions in [Hierarchy.nodes h] whose nodes are within [eps]
     ({!Node_dist.within}), in ascending order. Each string is prepared
-    once through {!Metric.stage}, so the quadratic pair loop runs only
-    the measure's pair test. *)
+    and keyed once through {!Metric.stage}, and only the node pairs whose
+    strings share a blocking key are tested. By the key law of
+    {!Metric.staged} ([test p q] implies a shared key) no other pair can
+    be within [eps], so the graph is the all-pairs one. The key index is
+    built once per call, as flat arrays, and dropped after it. A measure
+    without blocking of its own keys every string by {!Metric.one_key},
+    so every pair is a candidate, through the same index. *)
+
+val candidate_pairs : metric:Metric.t -> eps:float -> Hierarchy.t -> int
+(** How many node pairs {!epsilon_edges} tests: those sharing a key. *)
 
 val of_edges :
   ?lift:lift -> metric:Metric.t -> eps:float -> Hierarchy.t -> (int * int) list -> t option

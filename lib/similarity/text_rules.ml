@@ -91,7 +91,25 @@ let within_prepared ~eps xs ys =
 
 let distance x y = alignment (prepare x) (prepare y)
 
+(* Below [skip_cost] a pair within [eps] has equal token counts and at
+   most [typos] aligned tokens that cost [typo_unit] or more (no token can
+   be a mismatch); every other aligned pair is equal or an abbreviation,
+   and so shares its first two characters. Any [typos + 1] positions
+   therefore hold one such pair. (Below [skip_cost] at most three typos
+   fit, and in floats a sum of [c] of them that is within [eps] still
+   has [eps /. typo_unit >= c].) *)
+let keys ~eps tokens =
+  if eps >= skip_cost then Metric.one_key ()
+  else
+    let n = Array.length tokens in
+    let typos = max 0 (int_of_float (eps /. typo_unit)) in
+    if n <= typos then [ Hashtbl.hash n ]
+    else
+      List.init (typos + 1) (fun i ->
+          let t = tokens.(i) in
+          Hashtbl.hash (n, i, String.sub t 0 (min 2 (String.length t))))
+
 let metric =
   Metric.staged ~name:"text-rules" ~strong:false
-    ~stage:(fun ~eps -> Metric.Staged { prepare; test = within_prepared ~eps })
+    ~stage:(fun ~eps -> Metric.Staged { prepare; test = within_prepared ~eps; keys = keys ~eps })
     distance

@@ -12,6 +12,9 @@
 
 val distance : string -> string -> float
 
+val skip_cost : float
+(** The cost of a dropped token, 3.5. *)
+
 type prepared
 (** A phrase's tokens, computed once. *)
 
@@ -23,5 +26,14 @@ val within_prepared : eps:float -> prepared -> prepared -> bool
     diagonal is summed, stopping once it exceeds [eps]; otherwise the
     alignment aborts at the first DP row above [eps]. *)
 
+val keys : eps:float -> prepared -> int list
+(** Blocking keys for {!within_prepared} (the key law of
+    {!Metric.staged}). Below the dropped-token cost, at most
+    [t = ⌊eps / 1.1⌋] aligned tokens are typos, so at least one of the
+    first [t + 1] positions is an equal token or an abbreviation: the
+    keys are [(token count, position, first two characters)] over those
+    positions, or the token count alone when it is at most [t]. At
+    [eps >= 3.5] the key is {!Metric.one_key}. *)
+
 val metric : Metric.t
-(** Staged: {!prepare} then {!within_prepared}. *)
+(** Staged: {!prepare}, {!within_prepared} and {!keys}. *)

@@ -103,6 +103,8 @@ let measures =
     (Toss_similarity.Name_rules.metric, true);
     (Toss_similarity.Text_rules.metric, true);
     (Toss_similarity.Token.jaccard_metric, true);
+    (Toss_similarity.Token.cosine_metric, true);
+    (Toss_similarity.Tfidf.metric (Toss_similarity.Tfidf.corpus_of pool), true);
     (Toss_similarity.Token.qgram_metric 2, true);
     (Workload.experiment_metric, true);
     (Metric.scale 2.0 lev, true);
@@ -138,6 +140,60 @@ let test_prepared_equals_within () =
             strings)
         epsilons)
     measures
+
+(* The key law of Metric.staged: a pair the staged test accepts shares a
+   key. Checked for every measure and combinator above, at every ε, on
+   random abcd strings (short, dense in near pairs) and on DBLP strings
+   paired with a few random edits of themselves (typos, dropped or
+   abbreviated tokens) or with another string of the pool. *)
+let shares_key xs ys = List.exists (fun k -> List.mem k ys) xs
+
+let key_law (x, y) =
+  List.for_all
+    (fun ((m : Metric.t), _) ->
+      List.for_all
+        (fun eps ->
+          let (Metric.Staged s) = Metric.stage m ~eps in
+          let px = s.prepare x and py = s.prepare y in
+          (not (s.test px py))
+          || shares_key (s.keys px) (s.keys py)
+          || QCheck.Test.fail_reportf "%s eps=%g %S %S: accepted without a shared key"
+               m.Metric.name eps x y)
+        epsilons)
+    measures
+
+let edited =
+  let open QCheck.Gen in
+  let letter = oneofl [ 'a'; 'e'; 'n'; 'r'; 's'; 'x'; ' '; '.' ] in
+  let edit s =
+    let n = String.length s in
+    if n = 0 then map (String.make 1) letter
+    else
+      int_bound (n - 1) >>= fun i ->
+      letter >>= fun c ->
+      oneofl
+        [
+          String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1);
+          String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i);
+          String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1);
+          (* cut a token short: an abbreviation, or a dropped word *)
+          (match String.index_from_opt s i ' ' with
+          | Some j -> String.sub s 0 i ^ "." ^ String.sub s j (n - j)
+          | None -> String.sub s 0 i);
+        ]
+  in
+  let rec edits k s = if k = 0 then return s else edit s >>= edits (k - 1) in
+  oneofl pool >>= fun x ->
+  frequency [ (1, oneofl pool); (4, int_bound 3 >>= fun k -> edits k x) ] >>= fun y ->
+  return (x, y)
+
+let key_law_abcd =
+  QCheck.Test.make ~count:500 ~name:"test => shared key, abcd strings"
+    (QCheck.pair abcd_string abcd_string) key_law
+
+let key_law_dblp =
+  QCheck.Test.make ~count:500 ~name:"test => shared key, DBLP strings"
+    (QCheck.make ~print:QCheck.Print.(pair string string) edited) key_law
 
 (* The gates sit inside the rule measures, so [dist] and the staged test
    share them; these distances pin each gate's boundary to the cost
@@ -261,6 +317,45 @@ let test_write_mix () =
   let inserted = papers (render ~seed:(93 + 0x5eed) ~n_papers:3) in
   check_differential ~metric ~eps:2.0 (base :: inserted)
 
+(* The ε-graph against every pair at every ε: the serving benchmark's
+   corpora and a 1000-paper document, as their fused isa hierarchies. *)
+let fused_isa docs =
+  let ontologies = Maker.make_all docs in
+  match Fusion.fuse_ontologies ontologies (Maker.auto_constraints ontologies) with
+  | Ok fused -> Ontology.get Ontology.isa fused
+  | Error _ -> Alcotest.fail "fusion failed"
+
+(* From ε = 3.5 on every pair is a candidate, and both sides test all
+   6.4 M pairs of the 1000-paper document: the ε values are split over
+   two domains. *)
+let check_edges ~metric what isa =
+  let check parity =
+    List.iteri
+      (fun i eps ->
+        if
+          i mod 2 = parity
+          && Toss_similarity.Sea.epsilon_edges ~metric ~eps isa
+             <> Seo_reference.epsilon_edges ~metric ~eps isa
+        then Alcotest.failf "%s eps %g: epsilon graphs differ" what eps)
+      epsilons
+  in
+  let other = Domain.spawn (fun () -> check 1) in
+  check 0;
+  Domain.join other
+
+let test_edges_serving () =
+  check_edges ~metric "read-hot" (fused_isa (papers (render ~seed:91 ~n_papers:100)));
+  check_edges ~metric "read-wide"
+    (fused_isa [ Doc.of_tree (render ~seed:92 ~n_papers:400).Dblp_gen.tree ]);
+  check_edges ~metric "write-mix"
+    (fused_isa
+       (Doc.of_tree (render ~seed:93 ~n_papers:100).Dblp_gen.tree
+       :: papers (render ~seed:(93 + 0x5eed) ~n_papers:3)))
+
+let test_edges_1000 () =
+  check_edges ~metric "1000 papers"
+    (fused_isa [ Doc.of_tree (render ~seed:7 ~n_papers:1000).Dblp_gen.tree ])
+
 let test_generated_cases () =
   for seed = 1 to 150 do
     let case = Gen.case seed in
@@ -278,6 +373,48 @@ let test_generated_cases () =
       epsilons
   done
 
+(* The gate's sensitivity: a measure whose keys leave out one component
+   of a union breaks the key law, and the ε-graph differential must say
+   so on the generated cases. *)
+let unkeyed (m : Metric.t) =
+  Metric.staged ~name:(m.Metric.name ^ " (unkeyed)") ~strong:m.Metric.strong
+    ~stage:(fun ~eps ->
+      let (Metric.Staged s) = Metric.stage m ~eps in
+      Metric.Staged { prepare = s.prepare; test = s.test; keys = (fun _ -> []) })
+    m.Metric.dist
+
+let test_gate_sensitivity () =
+  let components =
+    [ Toss_similarity.Name_rules.metric; Toss_similarity.Text_rules.metric; Levenshtein.metric ]
+  in
+  List.iteri
+    (fun dropped (m : Metric.t) ->
+      let faulty =
+        Metric.min_of ~name:("min, " ^ m.Metric.name ^ " unkeyed")
+          (List.mapi (fun i c -> if i = dropped then unkeyed c else c) components)
+      in
+      let caught = ref false and seed = ref 1 in
+      while (not !caught) && !seed <= 150 do
+        let case = Gen.case !seed in
+        let docs = List.map Doc.of_tree (case.Gen.docs @ case.Gen.right_docs) in
+        List.iter
+          (fun eps ->
+            if not !caught then
+              match Seo_reference.differential ~metric:faulty ~eps docs with
+              | Ok () -> ()
+              | Error es ->
+                  if
+                    not
+                      (List.exists (fun e -> String.starts_with ~prefix:"epsilon graph" e) es)
+                  then Alcotest.failf "seed %d eps %g: %s" !seed eps (String.concat "; " es);
+                  caught := true)
+          epsilons;
+        incr seed
+      done;
+      if not !caught then
+        Alcotest.failf "%s: no generated case shows the dropped keys" faulty.Metric.name)
+    components
+
 let () =
   Alcotest.run "seo_build"
     [
@@ -291,6 +428,8 @@ let () =
           Alcotest.test_case "prepared = within, every measure and combinator" `Quick
             test_prepared_equals_within;
           Alcotest.test_case "rule measures at their gates" `Quick test_gate_boundaries;
+          QCheck_alcotest.to_alcotest key_law_abcd;
+          QCheck_alcotest.to_alcotest key_law_dblp;
         ] );
       ( "synonym constraints",
         [
@@ -303,5 +442,11 @@ let () =
           Alcotest.test_case "read-wide corpus (400 papers)" `Quick test_read_wide;
           Alcotest.test_case "write-mix corpus with inserts" `Quick test_write_mix;
           Alcotest.test_case "generated cases" `Quick test_generated_cases;
+          Alcotest.test_case "unkeyed component is caught" `Quick test_gate_sensitivity;
+        ] );
+      ( "epsilon graph",
+        [
+          Alcotest.test_case "serving corpora, every eps" `Quick test_edges_serving;
+          Alcotest.test_case "1000-paper document, every eps" `Quick test_edges_1000;
         ] );
     ]
