@@ -486,6 +486,10 @@ let abl_sea () =
     "\nsupports the paper's architecture: the SEO is precomputed once, so\n\
      this quadratic-ish cost stays out of the per-query path\n"
 
+(* Fusion cost: 2-6 hierarchies of 150-paper documents without
+   constraints, and the read-hot server's 100 single-paper sources with
+   their synonym constraints, against the persistent-graph reference
+   fusion of Toss_check (which must give the same hierarchy). *)
 let abl_fuse () =
   B.print_header "Ablation: fusion cost vs number of hierarchies";
   let make_hierarchy i =
@@ -495,24 +499,45 @@ let abl_fuse () =
     Ontology.get Ontology.isa o
   in
   let hierarchies = List.init 6 make_hierarchy in
+  let inputs =
+    List.map (fun k -> (List.filteri (fun i _ -> i < k) hierarchies, [])) [ 2; 3; 4; 5; 6 ]
+    @
+    let ontologies = Maker.make_all (paper_docs (dblp_tree ~seed:91 ~n_papers:100)) in
+    [
+      ( List.map (Ontology.get Ontology.isa) ontologies,
+        Option.value ~default:[]
+          (List.assoc_opt Ontology.isa (Maker.auto_constraints ontologies)) );
+    ]
+  in
   let rows =
     List.map
-      (fun k ->
-        let hs = List.filteri (fun i _ -> i < k) hierarchies in
+      (fun (hs, cs) ->
         let terms = List.fold_left (fun n h -> n + List.length (Hierarchy.terms h)) 0 hs in
-        let r, t = B.time (fun () -> Fusion.fuse hs []) in
-        let fused_nodes =
-          match r with Ok { Fusion.fused; _ } -> Hierarchy.n_nodes fused | Error _ -> -1
+        let fused, t = B.time_median ~runs:5 (fun () -> Fusion.fuse hs cs) in
+        let reference, t_ref = B.time_median ~runs:3 (fun () -> Seo_reference.fuse hs cs) in
+        let fused =
+          match (fused, reference) with
+          | Ok { Fusion.fused; _ }, Ok reference ->
+              assert (Hierarchy.equal fused reference);
+              fused
+          | _ -> failwith "abl-fuse: fusion failed"
         in
-        (k, terms, fused_nodes, t))
-      [ 2; 3; 4; 5; 6 ]
+        [
+          string_of_int (List.length hs);
+          string_of_int (List.length cs);
+          string_of_int terms;
+          string_of_int (Hierarchy.n_nodes fused);
+          B.fs t;
+          B.fs t_ref;
+          Printf.sprintf "%.1fx" (t_ref /. t);
+        ])
+      inputs
   in
   emit "abl-fuse"
-    ~columns:[ "hierarchies"; "input terms"; "fused nodes"; "time (s)" ]
-    (List.map
-       (fun (k, terms, nodes, t) ->
-         [ string_of_int k; string_of_int terms; string_of_int nodes; B.fs t ])
-       rows)
+    ~columns:
+      [ "hierarchies"; "constraints"; "input terms"; "fused nodes"; "time (s)";
+        "reference (s)"; "speedup" ]
+    rows
 
 (* The SEO build on the serving benchmark's corpora, production path vs
    the all-pairs reference of Toss_check: the blocked ε-graph (node pairs

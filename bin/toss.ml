@@ -530,6 +530,17 @@ let listen_addr listen socket =
   | Some a, None -> Toss_server.Transport.parse a
   | None, Some p -> Ok (Toss_server.Transport.Unix_sock p)
 
+(* [toss serve] and [toss router] report a failure to start (a database
+   that does not load, an address that cannot be bound) with an exit code
+   of their own: cmdliner's 124 means a command-line error. *)
+let cannot_start = 3
+
+let fail_start cmd msg =
+  Printf.eprintf "toss %s: cannot start: %s\n%!" cmd msg;
+  exit cannot_start
+
+let start_exits what = Cmd.Exit.info cannot_start ~doc:("when " ^ what) :: Cmd.Exit.defaults
+
 let serve_run listen socket db domains max_queue default_deadline_ms no_cache
     cache_capacity eps slow_ms access_log trace_sample =
   if domains < 0 then `Error (true, "--domains must be >= 0")
@@ -572,7 +583,7 @@ let serve_run listen socket db domains max_queue default_deadline_ms no_cache
     | Ok () ->
         print_endline "toss serve: stopped";
         `Ok ()
-    | Error msg -> `Error (false, msg)
+    | Error msg -> fail_start "serve" msg
   end
 
 let serve_cmd =
@@ -638,6 +649,11 @@ let serve_cmd =
   in
   Cmd.v
     (Cmd.info "serve"
+       ~exits:
+         (start_exits
+            "the server cannot start: a document in $(b,--db) does not \
+             parse, the address cannot be bound or the access log cannot \
+             be opened.")
        ~doc:"Serve collections over a Unix-domain socket or TCP: a \
              newline-delimited JSON protocol (with a binary framed \
              alternative negotiated per connection) with a worker pool, \
@@ -811,7 +827,7 @@ let router_run listen socket shards replicate connect_retry_ms =
           | Ok () ->
               print_endline "toss router: stopped";
               `Ok ()
-          | Error msg -> `Error (false, msg)))
+          | Error msg -> fail_start "router" msg))
 
 let router_cmd =
   let listen =
@@ -841,6 +857,7 @@ let router_cmd =
   in
   Cmd.v
     (Cmd.info "router"
+       ~exits:(start_exits "the router cannot bind its address.")
        ~doc:"Scatter-gather front-end over sharded $(b,toss serve) \
              instances: speaks the same wire protocol, hash-partitions \
              inserts, fans queries and joins out to every shard and merges \

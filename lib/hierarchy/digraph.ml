@@ -32,6 +32,8 @@ module type S = sig
   val fold_vertices : (vertex -> 'a -> 'a) -> t -> 'a -> 'a
   val fold_edges : (vertex -> vertex -> 'a -> 'a) -> t -> 'a -> 'a
   val map_vertices : (vertex -> vertex) -> t -> t
+  val dense : t -> vertex array * Intgraph.t
+  val of_dense : vertex array -> Intgraph.t -> t
   val reachable : vertex -> t -> Vset.t
   val has_path : vertex -> vertex -> t -> bool
   val is_acyclic : t -> bool
@@ -101,6 +103,29 @@ module Make (V : VERTEX) : S with type vertex = V.t = struct
     let g' = fold_vertices (fun v acc -> add_vertex (f v) acc) g empty in
     fold_edges (fun u v acc -> add_edge (f u) (f v) acc) g g'
 
+  let dense g =
+    let next = ref (-1) in
+    (* [Vmap.map] visits the keys in ascending order. *)
+    let id =
+      Vmap.map
+        (fun _ ->
+          incr next;
+          !next)
+        g.succ
+    in
+    let row ws = Array.of_list (Vset.fold (fun w acc -> Vmap.find w id :: acc) ws [] |> List.rev) in
+    ( Array.of_list (vertices g),
+      Array.of_list (Vmap.fold (fun _ ws acc -> row ws :: acc) g.succ [] |> List.rev) )
+
+  let of_dense vs rows =
+    let preds = Array.make (Array.length vs) [] in
+    Array.iteri (fun u row -> Array.iter (fun v -> preds.(v) <- vs.(u) :: preds.(v)) row) rows;
+    let map f = Vmap.of_seq (Seq.mapi (fun i v -> (v, f i)) (Array.to_seq vs)) in
+    {
+      succ = map (fun u -> Vset.of_list (List.map (fun v -> vs.(v)) (Array.to_list rows.(u))));
+      pred = map (fun v -> Vset.of_list preds.(v));
+    }
+
   let reachable start g =
     if not (mem_vertex start g) then Vset.empty
     else
@@ -110,87 +135,44 @@ module Make (V : VERTEX) : S with type vertex = V.t = struct
       in
       visit Vset.empty start
 
-  let has_path u v g = Vset.mem v (reachable u g)
+  let has_path u v g =
+    let exception Found in
+    let rec visit seen w =
+      if V.compare w v = 0 then raise Found
+      else if Vset.mem w seen then seen
+      else Vset.fold (fun x seen -> visit seen x) (succs w g) (Vset.add w seen)
+    in
+    mem_vertex u g && match visit Vset.empty u with _ -> false | exception Found -> true
 
-  (* Kahn's algorithm; also used as the acyclicity test. *)
   let topological_sort g =
-    let in_deg = ref (Vmap.map Vset.cardinal g.pred) in
-    let queue = Queue.create () in
-    Vmap.iter (fun v d -> if d = 0 then Queue.add v queue) !in_deg;
-    let order = ref [] in
-    let count = ref 0 in
-    while not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      incr count;
-      order := v :: !order;
-      Vset.iter
-        (fun w ->
-          let d = Vmap.find w !in_deg - 1 in
-          in_deg := Vmap.add w d !in_deg;
-          if d = 0 then Queue.add w queue)
-        (succs v g)
-    done;
-    if !count = n_vertices g then Some (List.rev !order) else None
+    let vs, rows = dense g in
+    Option.map (List.map (fun i -> vs.(i))) (Intgraph.topological_order rows)
 
-  let is_acyclic g = Option.is_some (topological_sort g)
+  let is_acyclic g = Intgraph.is_acyclic (snd (dense g))
 
   let scc g =
-    (* Tarjan's algorithm. *)
-    let index = ref 0 in
-    let stack = ref [] in
-    let components = ref [] in
-    let idx = ref Vmap.empty in
-    let low = ref Vmap.empty in
-    let onstk = ref Vset.empty in
-    let rec strongconnect v =
-      idx := Vmap.add v !index !idx;
-      low := Vmap.add v !index !low;
-      incr index;
-      stack := v :: !stack;
-      onstk := Vset.add v !onstk;
-      Vset.iter
-        (fun w ->
-          match Vmap.find_opt w !idx with
-          | None ->
-              strongconnect w;
-              low := Vmap.add v (min (Vmap.find v !low) (Vmap.find w !low)) !low
-          | Some wi ->
-              if Vset.mem w !onstk then
-                low := Vmap.add v (min (Vmap.find v !low) wi) !low)
-        (succs v g);
-      if Vmap.find v !low = Vmap.find v !idx then begin
-        let rec pop acc =
-          match !stack with
-          | [] -> acc
-          | w :: rest ->
-              stack := rest;
-              onstk := Vset.remove w !onstk;
-              if V.compare w v = 0 then w :: acc else pop (w :: acc)
-        in
-        components := pop [] :: !components
-      end
-    in
-    List.iter (fun v -> if not (Vmap.mem v !idx) then strongconnect v) (vertices g);
-    List.rev !components
+    let vs, rows = dense g in
+    List.map (List.map (fun i -> vs.(i))) (Intgraph.scc rows)
 
   let condensation g =
-    let comps = scc g in
-    let comp_of = ref Vmap.empty in
-    List.iteri (fun i comp -> List.iter (fun v -> comp_of := Vmap.add v i !comp_of) comp) comps;
-    let comp_arr = Array.of_list comps in
-    let seen = Hashtbl.create 97 in
-    let inter_edges =
-      fold_edges
-        (fun u v acc ->
-          let cu = Vmap.find u !comp_of and cv = Vmap.find v !comp_of in
-          if cu = cv || Hashtbl.mem seen (cu, cv) then acc
-          else begin
-            Hashtbl.add seen (cu, cv) ();
-            (List.hd comp_arr.(cu), List.hd comp_arr.(cv)) :: acc
-          end)
-        g []
-    in
-    (comps, inter_edges)
+    let vs, rows = dense g in
+    let comps = Intgraph.scc rows in
+    let comp_of = Array.make (Array.length vs) 0 in
+    List.iteri (fun c comp -> List.iter (fun v -> comp_of.(v) <- c) comp) comps;
+    let head = Array.of_list (List.map (fun comp -> vs.(List.hd comp)) comps) in
+    let seen = Hashtbl.create 97 and inter_edges = ref [] in
+    Array.iteri
+      (fun u row ->
+        Array.iter
+          (fun v ->
+            let cu = comp_of.(u) and cv = comp_of.(v) in
+            if cu <> cv && not (Hashtbl.mem seen (cu, cv)) then begin
+              Hashtbl.add seen (cu, cv) ();
+              inter_edges := (head.(cu), head.(cv)) :: !inter_edges
+            end)
+          row)
+      rows;
+    (List.map (List.map (fun i -> vs.(i))) comps, !inter_edges)
 
   let transitive_closure g =
     fold_vertices
@@ -201,19 +183,10 @@ module Make (V : VERTEX) : S with type vertex = V.t = struct
       g g
 
   let transitive_reduction g =
-    if not (is_acyclic g) then
-      invalid_arg "Digraph.transitive_reduction: graph has a cycle";
-    (* An edge (u, v) is redundant iff some other successor of u reaches v. *)
-    let reach = fold_vertices (fun v acc -> Vmap.add v (reachable v g) acc) g Vmap.empty in
-    fold_edges
-      (fun u v acc ->
-        let redundant =
-          Vset.exists
-            (fun w -> V.compare w v <> 0 && Vset.mem v (Vmap.find w reach))
-            (succs u g)
-        in
-        if redundant then remove_edge u v acc else acc)
-      g g
+    let vs, rows = dense g in
+    match Intgraph.transitive_reduction rows with
+    | None -> invalid_arg "Digraph.transitive_reduction: graph has a cycle"
+    | Some hasse -> of_dense vs hasse
 
   let pp ppf g =
     Format.fprintf ppf "@[<v>";

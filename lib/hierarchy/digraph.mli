@@ -4,7 +4,9 @@
     built on: reachability, Tarjan's strongly-connected components,
     condensation, topological sorting, transitive closure and transitive
     reduction (the Hasse diagram of the induced partial order). All graphs
-    are persistent; operations return new graphs. *)
+    are persistent; operations return new graphs. The strongly-connected
+    components, topological sort and transitive reduction number the
+    vertices once ({!S.dense}) and run the kernels of {!Intgraph}. *)
 
 module type VERTEX = sig
   type t
@@ -51,13 +53,21 @@ module type S = sig
   (** [map_vertices f g] renames every vertex by [f]; edges follow. If [f]
       identifies two vertices their edge sets are merged. *)
 
+  val dense : t -> vertex array * Intgraph.t
+  (** The graph on dense ids: its vertices in ascending order, and each
+      one's successors as ascending positions in that array. *)
+
+  val of_dense : vertex array -> Intgraph.t -> t
+  (** The inverse of {!dense}: the graph on the given distinct vertices
+      with an edge [vs.(u) -> vs.(v)] for each [v] in row [u]. *)
+
   val reachable : vertex -> t -> Vset.t
   (** All vertices reachable from the given vertex by a path of length >= 0
       (the vertex itself is included when it is in the graph). *)
 
   val has_path : vertex -> vertex -> t -> bool
   (** [has_path u v g] holds iff there is a path of length >= 0 from [u] to
-      [v]; both must be vertices of [g]. *)
+      [v]; both must be vertices of [g]. The search stops at [v]. *)
 
   val is_acyclic : t -> bool
 
@@ -66,7 +76,7 @@ module type S = sig
 
   val scc : t -> vertex list list
   (** Tarjan's strongly-connected components, in reverse topological order
-      of the condensation (i.e. a component precedes the components it can
+      of the condensation (i.e. a component follows the components it can
       reach). Each component is a non-empty list. *)
 
   val condensation : t -> vertex list list * (vertex * vertex) list

@@ -64,14 +64,16 @@ let leq t a b =
     (fun na -> List.exists (fun nb -> node_leq t na nb) (nodes_of b t))
     (nodes_of a t)
 
+(* Every node at or below one of the term's nodes: one DFS over [preds]. *)
+let down_set term t =
+  let rec visit seen v =
+    if G.Vset.mem v seen then seen
+    else G.Vset.fold (fun w seen -> visit seen w) (G.preds v t.graph) (G.Vset.add v seen)
+  in
+  List.fold_left visit G.Vset.empty (nodes_of term t)
+
 let below term t =
-  let targets = nodes_of term t in
-  G.fold_vertices
-    (fun v acc ->
-      if List.exists (fun n -> G.has_path v n t.graph) targets then
-        Node.strings v @ acc
-      else acc)
-    t.graph []
+  G.Vset.fold (fun v acc -> Node.strings v @ acc) (down_set term t) []
   |> List.sort_uniq String.compare
 
 let above term t =
@@ -103,15 +105,7 @@ let roots t = List.filter (fun n -> G.Vset.is_empty (G.succs n t.graph)) (nodes 
 let leaves t = List.filter (fun n -> G.Vset.is_empty (G.preds n t.graph)) (nodes t)
 
 let lower_bounds t a b =
-  let downs term =
-    let targets = nodes_of term t in
-    G.fold_vertices
-      (fun v acc ->
-        if List.exists (fun n -> G.has_path v n t.graph) targets then G.Vset.add v acc
-        else acc)
-      t.graph G.Vset.empty
-  in
-  let common = G.Vset.inter (downs a) (downs b) in
+  let common = G.Vset.inter (down_set a t) (down_set b t) in
   (* Keep the maximal elements: those not strictly below another common
      lower bound. *)
   G.Vset.elements common

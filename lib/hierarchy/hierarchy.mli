@@ -58,7 +58,8 @@ val leq : t -> string -> string -> bool
 val node_leq : t -> Node.t -> Node.t -> bool
 
 val below : string -> t -> string list
-(** Every term [b] with [leq h b a]; includes the term's own cluster. *)
+(** Every term [b] with [leq h b a]; includes the term's own cluster. One
+    DFS down the diagram from the term's nodes. *)
 
 val above : string -> t -> string list
 

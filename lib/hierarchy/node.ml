@@ -19,6 +19,21 @@ let representative = function
 let compare = compare
 let equal a b = compare a b = 0
 
+let distinct ns =
+  let order = Array.init (Array.length ns) Fun.id in
+  Array.stable_sort (fun a b -> compare ns.(a) ns.(b)) order;
+  let position = Array.make (Array.length ns) 0 and nodes = ref [] and count = ref 0 in
+  Array.iter
+    (fun i ->
+      (match !nodes with
+      | previous :: _ when equal previous ns.(i) -> ()
+      | _ ->
+          nodes := ns.(i) :: !nodes;
+          incr count);
+      position.(i) <- !count - 1)
+    order;
+  (Array.of_list (List.rev !nodes), position)
+
 let pp ppf t =
   match t with
   | [ s ] -> Format.pp_print_string ppf s

@@ -23,5 +23,10 @@ val representative : t -> string
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
+
+val distinct : t array -> t array * int array
+(** [distinct ns]: the distinct nodes of [ns] in ascending order, and
+    each [ns.(i)]'s position among them. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -1,8 +1,8 @@
 module Node = Toss_hierarchy.Node
 module Hierarchy = Toss_hierarchy.Hierarchy
-module Digraph = Toss_hierarchy.Digraph
+module Intgraph = Toss_hierarchy.Intgraph
 
-(* Source-qualified hierarchy nodes: the vertices of the hierarchy graph. *)
+(* Source-qualified hierarchy nodes: the keys of the witness. *)
 module Q = struct
   type t = { source : int; node : Node.t }
 
@@ -10,11 +10,8 @@ module Q = struct
     match Int.compare a.source b.source with
     | 0 -> Node.compare a.node b.node
     | c -> c
-
-  let pp ppf { source; node } = Format.fprintf ppf "%a:%d" Node.pp node source
 end
 
-module QG = Digraph.Make (Q)
 module Qmap = Map.Make (Q)
 
 type witness = Node.t Qmap.t
@@ -27,14 +24,31 @@ let pp_error ppf = function
   | Neq_violated c -> Format.fprintf ppf "constraint violated by fusion: %a" Interop.pp c
   | Unknown_source c -> Format.fprintf ppf "constraint references unknown source: %a" Interop.pp c
 
-(* The vertex of source [i] whose node contains [term]; a fresh singleton
-   vertex if the term is unknown to that hierarchy. *)
-let vertex_of hs i term =
-  match Hierarchy.nodes_of term hs.(i) with
-  | node :: _ -> { Q.source = i; node }
-  | [] -> { Q.source = i; node = Node.singleton term }
+(* The position of [x] in the ascending array [a]. *)
+let position a x =
+  let rec search lo hi =
+    let mid = (lo + hi) / 2 in
+    match Node.compare x a.(mid) with
+    | 0 -> mid
+    | c when c < 0 -> search lo (mid - 1)
+    | _ -> search (mid + 1) hi
+  in
+  search 0 (Array.length a - 1)
 
-let fuse ?(auto_equate = true) hs constraints =
+(* A fusion on dense vertex ids. Vertex [v] is source [source.(v)]'s
+   node [node.(v)]: each source's own nodes, numbered source by source in
+   node order, then one singleton per (source, term) that a [Leq] names
+   and the source does not know. [fused_of.(v)] is the position of the
+   fused node absorbing [v] in [fused_nodes], ascending. *)
+type dense = {
+  source : int array;
+  node : Node.t array;
+  fused_nodes : Node.t array;
+  fused_of : int array;
+  hierarchy : Hierarchy.t;
+}
+
+let dense_fuse ~auto_equate hs constraints =
   let sources = Array.of_list hs in
   let n = Array.length sources in
   let constraints = Interop.expand constraints in
@@ -49,101 +63,156 @@ let fuse ?(auto_equate = true) hs constraints =
   match bad_source with
   | Some c -> Error (Unknown_source c)
   | None ->
-      (* 1. Hierarchy graph: per-source vertices and Hasse edges. *)
-      let g =
-        List.fold_left
-          (fun g (i, h) ->
-            let g =
-              List.fold_left
-                (fun g node -> QG.add_vertex { Q.source = i; node } g)
-                g (Hierarchy.nodes h)
-            in
-            List.fold_left
-              (fun g (u, v) ->
-                QG.add_edge { Q.source = i; node = u } { Q.source = i; node = v } g)
-              g (Hierarchy.edges h))
-          QG.empty
-          (List.mapi (fun i h -> (i, h)) hs)
+      (* 1. Vertices: each source's nodes in node order (its Hasse edges
+         as rows over them), then the unknown terms of [Leq] constraints. *)
+      let numbered = Array.map (fun h -> Hierarchy.G.dense (Hierarchy.graph h)) sources in
+      let offset = Array.make (n + 1) 0 in
+      Array.iteri (fun i (nodes, _) -> offset.(i + 1) <- offset.(i) + Array.length nodes) numbered;
+      let unknown = Hashtbl.create 16 and unknowns = ref [] in
+      let find i term =
+        match Hierarchy.nodes_of term sources.(i) with
+        | node :: _ -> Some (offset.(i) + position (fst numbered.(i)) node)
+        | [] -> Hashtbl.find_opt unknown (i, term)
       in
-      (* 2. Constraint edges. *)
-      let g =
-        List.fold_left
-          (fun g c ->
-            match c with
+      let vertex { Interop.source = i; term } =
+        match find i term with
+        | Some v -> v
+        | None ->
+            let v = offset.(n) + Hashtbl.length unknown in
+            Hashtbl.add unknown (i, term) v;
+            unknowns := (i, term) :: !unknowns;
+            v
+      in
+      let leq =
+        List.filter_map
+          (function
             | Interop.Leq (a, b) ->
-                QG.add_edge
-                  (vertex_of sources a.Interop.source a.Interop.term)
-                  (vertex_of sources b.Interop.source b.Interop.term)
-                  g
+                let a = vertex a in
+                Some (a, vertex b)
             | Interop.Eq _ -> assert false (* removed by expand *)
-            | Interop.Neq _ -> g)
-          g constraints
+            | Interop.Neq _ -> None)
+          constraints
       in
-      (* 3. Implicit equalities between identically-spelled terms. *)
-      let g =
-        if not auto_equate then g
+      let unknowns = Array.of_list (List.rev !unknowns) in
+      let source =
+        Array.concat
+          (Array.to_list (Array.mapi (fun i (nodes, _) -> Array.make (Array.length nodes) i) numbered)
+          @ [ Array.map fst unknowns ])
+      and node =
+        Array.concat
+          (Array.to_list (Array.map fst numbered)
+          @ [ Array.map (fun (_, term) -> Node.singleton term) unknowns ])
+      in
+      let n_vertices = Array.length node in
+      (* 2. Equal spellings are one class (union-find, the smaller root
+         kept). *)
+      let parent = Array.init n_vertices Fun.id in
+      let rec root v =
+        let p = parent.(v) in
+        if p = v then v
         else begin
-          let by_term = Hashtbl.create 97 in
-          QG.fold_vertices
-            (fun v () ->
-              List.iter
-                (fun s ->
-                  Hashtbl.replace by_term s
-                    (v :: Option.value ~default:[] (Hashtbl.find_opt by_term s)))
-                (Node.strings v.Q.node))
-            g ();
-          Hashtbl.fold
-            (fun _term vs g ->
-              match vs with
-              | [] | [ _ ] -> g
-              | first :: rest ->
-                  List.fold_left
-                    (fun g v -> QG.add_edge first v (QG.add_edge v first g))
-                    g rest)
-            by_term g
+          let r = root p in
+          parent.(v) <- r;
+          r
         end
       in
-      (* 4. Condense: each SCC becomes one fused node. *)
-      let components, inter_edges = QG.condensation g in
-      let fused_node_of_component comp =
-        Node.of_list (List.concat_map (fun v -> Node.strings v.Q.node) comp)
+      if auto_equate then begin
+        let first = Hashtbl.create 256 in
+        Array.iteri
+          (fun v x ->
+            List.iter
+              (fun s ->
+                match Hashtbl.find_opt first s with
+                | None -> Hashtbl.add first s v
+                | Some w ->
+                    let a = root v and b = root w in
+                    if a <> b then parent.(max a b) <- min a b)
+              (Node.strings x))
+          node
+      end;
+      let n_classes = ref 0 and class_of = Array.make n_vertices 0 in
+      for v = 0 to n_vertices - 1 do
+        let r = root v in
+        if r = v then begin
+          class_of.(v) <- !n_classes;
+          incr n_classes
+        end
+        else class_of.(v) <- class_of.(r)
+      done;
+      (* 3. Hasse and [Leq] edges between classes; their strongly
+         connected components are the fused nodes. *)
+      let edges = ref [] in
+      let add u v =
+        let a = class_of.(u) and b = class_of.(v) in
+        if a <> b then edges := (a, b) :: !edges
       in
-      let witness =
-        List.fold_left
-          (fun w comp ->
-            let fused = fused_node_of_component comp in
-            List.fold_left (fun w v -> Qmap.add v fused w) w comp)
-          Qmap.empty components
+      List.iter (fun (u, v) -> add u v) leq;
+      Array.iteri
+        (fun i (_, rows) ->
+          Array.iteri (fun u row -> Array.iter (fun v -> add (offset.(i) + u) (offset.(i) + v)) row) rows)
+        numbered;
+      let edges = !edges in
+      let classes = Intgraph.of_edges !n_classes edges in
+      let components = Array.of_list (Intgraph.scc classes) in
+      let component_of = Array.make !n_classes 0 in
+      Array.iteri (fun c members -> List.iter (fun k -> component_of.(k) <- c) members) components;
+      let strings = Array.make (Array.length components) [] in
+      Array.iteri
+        (fun v x ->
+          let c = component_of.(class_of.(v)) in
+          strings.(c) <- List.rev_append (Node.strings x) strings.(c))
+        node;
+      (* 4. Components whose fused nodes coincide (possible only without
+         [auto_equate]) are one node; the fused nodes are numbered in
+         ascending order. *)
+      let fused_nodes, fused_id = Node.distinct (Array.map Node.of_list strings) in
+      (* 5. The order between fused nodes, and its Hasse diagram. Two
+         coinciding components joined by an edge make a self-loop, which
+         is a cycle. *)
+      let fused_edges =
+        List.filter_map
+          (fun (u, v) ->
+            let cu = component_of.(u) and cv = component_of.(v) in
+            if cu = cv then None else Some (fused_id.(cu), fused_id.(cv)))
+          edges
       in
-      let fg =
-        List.fold_left
-          (fun fg comp -> Hierarchy.G.add_vertex (fused_node_of_component comp) fg)
-          Hierarchy.G.empty components
+      let hierarchy =
+        match
+          Intgraph.transitive_reduction
+            (Intgraph.of_edges (Array.length fused_nodes) fused_edges)
+        with
+        | Some hasse -> Hierarchy.of_graph (Hierarchy.G.of_dense fused_nodes hasse)
+        | None ->
+            (* What normalizing the cyclic fused diagram raised. *)
+            invalid_arg "Hierarchy.normalize: cyclic diagram"
       in
-      let fg =
-        List.fold_left
-          (fun fg (u, v) ->
-            Hierarchy.G.add_edge (Qmap.find u witness) (Qmap.find v witness) fg)
-          fg inter_edges
-      in
-      let fused = Hierarchy.normalize (Hierarchy.of_graph fg) in
-      (* 5. Neq constraints. *)
+      let fused_of = Array.map (fun k -> fused_id.(component_of.(k))) class_of in
+      (* 6. Neq constraints. *)
       let violated =
         List.find_opt
-          (fun c ->
-            match c with
-            | Interop.Neq (a, b) ->
-                let na = Qmap.find_opt (vertex_of sources a.Interop.source a.Interop.term) witness in
-                let nb = Qmap.find_opt (vertex_of sources b.Interop.source b.Interop.term) witness in
-                (match (na, nb) with
-                | Some na, Some nb -> Node.equal na nb
+          (function
+            | Interop.Neq (a, b) -> (
+                match (find a.Interop.source a.Interop.term, find b.Interop.source b.Interop.term) with
+                | Some u, Some v -> fused_of.(u) = fused_of.(v)
                 | _ -> false)
             | Interop.Leq _ | Interop.Eq _ -> false)
           constraints
       in
       (match violated with
       | Some c -> Error (Neq_violated c)
-      | None -> Ok { fused; witness })
+      | None -> Ok { source; node; fused_nodes; fused_of; hierarchy })
+
+let fuse ?(auto_equate = true) hs constraints =
+  Result.map
+    (fun d ->
+      let witness = ref Qmap.empty in
+      Array.iteri
+        (fun v source ->
+          witness :=
+            Qmap.add { Q.source; node = d.node.(v) } d.fused_nodes.(d.fused_of.(v)) !witness)
+        d.source;
+      { fused = d.hierarchy; witness = !witness })
+    (dense_fuse ~auto_equate hs constraints)
 
 let fuse_exn ?auto_equate hs constraints =
   match fuse ?auto_equate hs constraints with
@@ -162,7 +231,7 @@ let psi_term witness ~source term =
       | None -> if q.Q.source = source && Node.mem term q.Q.node then Some fused else None)
     witness None
 
-let fuse_ontologies ?auto_equate ontologies constraints_by_relation =
+let fuse_ontologies ?(auto_equate = true) ontologies constraints_by_relation =
   let relations =
     List.sort_uniq String.compare (List.concat_map Ontology.relations ontologies)
   in
@@ -173,8 +242,8 @@ let fuse_ontologies ?auto_equate ontologies constraints_by_relation =
       | Ok fused_ontology -> (
           let hs = List.map (Ontology.get rel) ontologies in
           let cs = Option.value ~default:[] (List.assoc_opt rel constraints_by_relation) in
-          match fuse ?auto_equate hs cs with
-          | Ok { fused; _ } -> Ok (Ontology.add rel fused fused_ontology)
+          match dense_fuse ~auto_equate hs cs with
+          | Ok { hierarchy; _ } -> Ok (Ontology.add rel hierarchy fused_ontology)
           | Error e -> Error (rel, e)))
     (Ok Ontology.empty) relations
 

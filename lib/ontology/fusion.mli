@@ -1,19 +1,30 @@
 (** Canonical fusion of hierarchies (Definitions 5–6).
 
-    The hierarchy graph of the inputs has one vertex per (source,
-    hierarchy-node) pair, the within-hierarchy Hasse edges, and one edge
-    per [Leq] interoperation constraint. Equality constraints induce
-    two-cycles, so condensing the graph's strongly-connected components
-    merges equated terms into single nodes; the transitive reduction of
-    the condensation is the canonical hierarchy of Calvanese et al. (the
-    paper's references [2, 3]). The witness maps each input node to the
-    fused node absorbing it, satisfying both integration axioms of
+    The fusion is the quotient of the sources' disjoint union by the
+    equivalence the equalities generate, with the order placed on the
+    classes (Guo et al., {e Merging Ontologies Algebraically}). It runs on
+    dense vertex ids: one vertex per (source, hierarchy-node) pair, and
+    one per (source, term) that a constraint names and the source does
+    not know. Union-find merges the vertices that share a spelling. The
+    within-hierarchy Hasse edges and the [Leq] constraints ([Eq] as two
+    of them) become edges between the classes, and the strongly connected
+    components of that graph are the fused nodes, each the union of its
+    members' terms. The transitive reduction of the order between them is
+    the canonical hierarchy of Calvanese et al. (the paper's references
+    [2, 3]). Components whose terms coincide are one fused node; an edge
+    between two such components is a cycle, which raises
+    [Invalid_argument]. The witness maps each input node to the fused
+    node absorbing it, satisfying both integration axioms of
     Definition 5.
 
     When [auto_equate] is set (the default), terms spelled identically in
     different sources are equated implicitly — the paper's example relies
-    on this for [title], [author] and [year]; explicit [Neq] constraints
-    override it. *)
+    on this for [title], [author] and [year], and then no two components
+    can coincide. Explicit [Neq] constraints are checked on the fused
+    nodes: one that ends inside a single fused node is an error.
+    [Toss_check.Seo_reference.fuse] is the same fusion as the condensation
+    of a persistent graph with a two-cycle per equality, for differential
+    testing. *)
 
 module Node = Toss_hierarchy.Node
 module Hierarchy = Toss_hierarchy.Hierarchy
@@ -47,7 +58,8 @@ val fuse_ontologies :
   (Ontology.relation * Interop.t list) list ->
   (Ontology.t, Ontology.relation * error) Stdlib.result
 (** Fuses relation-by-relation: the k-th output hierarchy is the fusion of
-    the inputs' k-th hierarchies under that relation's constraints. *)
+    the inputs' k-th hierarchies under that relation's constraints. The
+    witness is not built. *)
 
 val check_integration :
   Hierarchy.t list -> Interop.t list -> result -> (unit, string list) Stdlib.result

@@ -1,7 +1,7 @@
 module Node = Toss_hierarchy.Node
 module Hierarchy = Toss_hierarchy.Hierarchy
 module G = Hierarchy.G
-module Nmap = Map.Make (Node)
+module Intgraph = Toss_hierarchy.Intgraph
 
 type lift = Existential | Universal
 
@@ -121,73 +121,72 @@ let candidate_pairs ~metric ~eps h =
       count := !count + List.length candidates);
   !count
 
+(* The enhanced nodes, μ, and the lifted ordering over the enhanced
+   nodes' positions. Cliques whose clusters coincide as nodes are one
+   enhanced node. *)
 let build ~lift ~eps h edges =
   check_threshold eps;
-  let original = Array.of_list (Hierarchy.nodes h) in
+  let original, hasse = G.dense (Hierarchy.graph h) in
   let n = Array.length original in
-  let cliques = Clique.maximal_cliques_of_edges ~n edges in
-  let clusters = List.map (fun c -> (c, cluster_of original c)) cliques in
-  (* μ: original node index -> enhanced nodes containing it. *)
-  let mu_tbl = Array.make (max n 1) [] in
-  List.iter
-    (fun (clique, node) -> List.iter (fun i -> mu_tbl.(i) <- node :: mu_tbl.(i)) clique)
-    clusters;
+  let cliques = Array.of_list (Clique.maximal_cliques_of_edges ~n edges) in
+  let cluster = Array.map (cluster_of original) cliques in
+  (* [id.(c)]: clique [c]'s position in [nodes], the distinct clusters in
+     ascending order. *)
+  let nodes, id = Node.distinct cluster in
+  (* μ: original node position -> the cliques containing it. *)
+  let images = Array.make n [] in
+  Array.iteri (fun c clique -> List.iter (fun i -> images.(i) <- c :: images.(i)) clique) cliques;
   let mu =
-    List.init n (fun i -> (original.(i), List.sort_uniq Node.compare mu_tbl.(i)))
+    List.init n (fun i ->
+        (original.(i), List.sort_uniq Node.compare (List.map (fun c -> cluster.(c)) images.(i))))
   in
   (* Lift the ordering of H onto the enhanced nodes. *)
-  let base = List.fold_left (fun g (_, node) -> G.add_vertex node g) G.empty clusters in
-  let graph =
+  let lifted =
     match lift with
     | Existential ->
         (* An enhanced edge for every Hasse edge of H between any images. *)
-        let images_of =
-          let index = ref Nmap.empty in
-          Array.iteri (fun i o -> index := Nmap.add o mu_tbl.(i) !index) original;
-          fun node -> Option.value ~default:[] (Nmap.find_opt node !index)
-        in
-        List.fold_left
-          (fun g (a, b) ->
-            List.fold_left
-              (fun g a' ->
-                List.fold_left
-                  (fun g b' -> if Node.equal a' b' then g else G.add_edge a' b' g)
-                  g (images_of b))
-              g (images_of a))
-          base (Hierarchy.edges h)
+        let lifted = ref [] in
+        Array.iteri
+          (fun i row ->
+            Array.iter
+              (fun j ->
+                List.iter
+                  (fun a ->
+                    List.iter
+                      (fun b -> if id.(a) <> id.(b) then lifted := (id.(a), id.(b)) :: !lifted)
+                      images.(j))
+                  images.(i))
+              row)
+          hasse;
+        !lifted
     | Universal ->
         (* Edge V -> W iff every member pair is ordered in H. Candidates
            are restricted to pairs connected by at least one Hasse edge. *)
-        let member_sets =
-          List.map (fun (clique, node) -> (node, List.map (fun i -> original.(i)) clique)) clusters
-        in
         let hg = Hierarchy.graph h in
-        let all_ordered ms ns =
-          List.for_all (fun a -> List.for_all (fun b -> G.has_path a b hg) ns) ms
-        in
-        List.fold_left
-          (fun g (v, ms) ->
-            List.fold_left
-              (fun g (w, ns) ->
-                if Node.equal v w then g
-                else if
-                  List.exists
-                    (fun a -> List.exists (fun b -> G.mem_edge a b hg) ns)
-                    ms
-                  && all_ordered ms ns
-                then G.add_edge v w g
-                else g)
-              g member_sets)
-          base member_sets
+        let lifted = ref [] in
+        Array.iteri
+          (fun a ms ->
+            Array.iteri
+              (fun b ns ->
+                if
+                  id.(a) <> id.(b)
+                  && List.exists (fun i -> List.exists (fun j -> Array.mem j hasse.(i)) ns) ms
+                  && List.for_all
+                       (fun i -> List.for_all (fun j -> G.has_path original.(i) original.(j) hg) ns)
+                       ms
+                then lifted := (id.(a), id.(b)) :: !lifted)
+              cliques)
+          cliques;
+        !lifted
   in
-  (mu, graph)
+  (mu, nodes, Intgraph.of_edges (Array.length nodes) lifted)
 
 let of_edges ?(lift = Existential) ~metric ~eps h edges =
-  let mu, graph = build ~lift ~eps h edges in
-  if not (G.is_acyclic graph) then None
-  else
-    let hierarchy = Hierarchy.normalize (Hierarchy.of_graph graph) in
-    Some { hierarchy; mu; eps; metric }
+  let mu, nodes, lifted = build ~lift ~eps h edges in
+  match Intgraph.transitive_reduction lifted with
+  | None -> None
+  | Some hasse ->
+      Some { hierarchy = Hierarchy.of_graph (G.of_dense nodes hasse); mu; eps; metric }
 
 let enhance ?lift ~metric ~eps h =
   of_edges ?lift ~metric ~eps h (epsilon_edges ~metric ~eps h)

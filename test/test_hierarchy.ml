@@ -176,6 +176,48 @@ let prop_topo_respects_edges =
           List.for_all (fun (u, v) -> Hashtbl.find index u < Hashtbl.find index v)
             (SG.edges g))
 
+let prop_has_path_is_reachability =
+  QCheck2.Test.make ~name:"has_path = membership in the reachable set" ~count:100
+    random_dag_gen (fun edges ->
+      (* Reversing some edges makes cycles; "v99" is no vertex. *)
+      let g = SG.of_edges (List.mapi (fun i (u, v) -> if i mod 3 = 0 then (v, u) else (u, v)) edges) in
+      let vs = "v99" :: SG.vertices g in
+      List.for_all
+        (fun u -> List.for_all (fun v -> SG.has_path u v g = SG.Vset.mem v (SG.reachable u g)) vs)
+        vs)
+
+(* [Hierarchy.leq] and [Hierarchy.below] against their definitions: the
+   reflexive-transitive closure of the pairs (Warshall over the terms),
+   with an unknown term below and above nothing. *)
+let prop_below_leq_definitions =
+  QCheck2.Test.make ~name:"below and leq equal their definitions" ~count:200 random_dag_gen
+    (fun edges ->
+      let h = Hierarchy.of_pairs edges in
+      let terms = Array.of_list (List.sort_uniq String.compare (List.concat_map (fun (a, b) -> [ a; b ]) edges)) in
+      let n = Array.length terms in
+      let pos t =
+        let rec go i = if i = n then None else if terms.(i) = t then Some i else go (i + 1) in
+        go 0
+      in
+      let reach = Array.init n (fun i -> Array.init n (fun j -> i = j)) in
+      List.iter (fun (a, b) -> reach.(Option.get (pos a)).(Option.get (pos b)) <- true) edges;
+      for k = 0 to n - 1 do
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            if reach.(i).(k) && reach.(k).(j) then reach.(i).(j) <- true
+          done
+        done
+      done;
+      let leq a b =
+        match (pos a, pos b) with Some i, Some j -> reach.(i).(j) | _ -> false
+      in
+      let candidates = "unknown" :: Array.to_list terms in
+      List.for_all
+        (fun a ->
+          Hierarchy.below a h = List.filter (fun b -> leq b a) (Array.to_list terms)
+          && List.for_all (fun b -> Hierarchy.leq h a b = leq a b) candidates)
+        candidates)
+
 (* ------------------------------------------------------------------ *)
 (* Node clusters                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -359,6 +401,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_reduction_preserves_reachability;
           QCheck_alcotest.to_alcotest prop_closure_is_idempotent;
           QCheck_alcotest.to_alcotest prop_topo_respects_edges;
+          QCheck_alcotest.to_alcotest prop_has_path_is_reachability;
         ] );
       ( "node",
         [
@@ -389,5 +432,6 @@ let () =
           Alcotest.test_case "cluster nodes" `Quick test_hierarchy_cluster_nodes;
           Alcotest.test_case "terms and membership" `Quick test_hierarchy_terms_and_mem;
           Alcotest.test_case "structural equality" `Quick test_hierarchy_equal;
+          QCheck_alcotest.to_alcotest prop_below_leq_definitions;
         ] );
     ]

@@ -277,6 +277,96 @@ let test_synonym_closure () =
       [ true; false ]
   done
 
+(* ------------------------------ fusion ------------------------------- *)
+
+(* Random fusion inputs: 1-5 sources whose nodes are disjoint clusters of
+   1-3 letters of a small alphabet (so spellings recur across sources),
+   ordered by random DAG edges, and Leq/Eq/Neq constraints that name
+   letters a source may lack, terms no source has ("x", "y") and, rarely,
+   a source out of range. Random Leq and Eq edges between sources make
+   cross-source cycles. *)
+let alphabet = [| "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" |]
+
+let fusion_case =
+  let open QCheck.Gen in
+  let source =
+    let* letters = map Array.of_list (shuffle_l (Array.to_list alphabet)) in
+    let* used = int_range 1 (Array.length alphabet) in
+    let* sizes = list_repeat used (int_range 1 3) in
+    let rec chunk i = function
+      | [] -> []
+      | k :: rest when i < used ->
+          let k = min k (used - i) in
+          Array.to_list (Array.sub letters i k) :: chunk (i + k) rest
+      | _ -> []
+    in
+    let nodes = Array.of_list (List.map Toss_hierarchy.Node.of_list (chunk 0 sizes)) in
+    let n = Array.length nodes in
+    let+ edges =
+      list_size (int_range 0 (2 * n))
+        (let* i = int_range 0 (n - 1) in
+         let+ j = int_range 0 (n - 1) in
+         (min i j, max i j))
+    in
+    let h = Array.fold_left (fun h x -> Hierarchy.add_node x h) Hierarchy.empty nodes in
+    List.fold_left
+      (fun h (i, j) -> if i = j then h else Hierarchy.add_edge nodes.(i) nodes.(j) h)
+      h edges
+    |> Hierarchy.normalize
+  in
+  let* n = int_range 1 5 in
+  let* sources = list_repeat n source in
+  let term = oneof [ oneofa alphabet; oneofl [ "x"; "y" ] ] in
+  let qualified =
+    let* t = term in
+    let+ i = frequency [ (60, int_range 0 (n - 1)); (1, return n) ] in
+    (t, i)
+  in
+  let+ constraints =
+    list_size (int_range 0 8)
+      (let* kind = frequency [ (4, return `Leq); (2, return `Eq); (1, return `Neq) ] in
+       let* a = qualified in
+       let+ b = qualified in
+       match kind with
+       | `Leq -> Interop.leq a b
+       | `Eq -> Interop.eq a b
+       | `Neq -> Interop.neq a b)
+  in
+  (sources, constraints)
+
+let print_fusion_case (sources, constraints) =
+  Format.asprintf "@[<v>%a@,constraints: %a@]"
+    (Format.pp_print_list Hierarchy.pp)
+    sources
+    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Interop.pp)
+    constraints
+
+let outcome f =
+  match f () with
+  | Ok h -> `Fused h
+  | Error e -> `Error e
+  | exception Invalid_argument _ -> `Cyclic
+
+let fusion_matches_reference =
+  QCheck.Test.make ~count:3000 ~name:"dense fusion = reference fusion, both auto_equate"
+    (QCheck.make ~print:print_fusion_case fusion_case)
+    (fun (sources, constraints) ->
+      List.for_all
+        (fun auto_equate ->
+          let fused () =
+            Result.map
+              (fun r -> r.Fusion.fused)
+              (Fusion.fuse ~auto_equate sources constraints)
+          in
+          match
+            (outcome fused, outcome (fun () -> Seo_reference.fuse ~auto_equate sources constraints))
+          with
+          | `Fused h, `Fused r -> Hierarchy.equal h r
+          | `Error e, `Error r -> e = r
+          | `Cyclic, `Cyclic -> true
+          | _ -> false)
+        [ true; false ])
+
 (* ------------------------- SEO differential -------------------------- *)
 
 let render ~seed ~n_papers = Dblp_gen.render ~seed (Corpus.generate ~seed ~n_papers ())
@@ -436,6 +526,7 @@ let () =
           Alcotest.test_case "linear set, same fusion as every pair" `Quick
             test_synonym_closure;
         ] );
+      ("fusion", [ QCheck_alcotest.to_alcotest fusion_matches_reference ]);
       ( "seo differential",
         [
           Alcotest.test_case "read-hot corpus (100 documents)" `Quick test_read_hot;
